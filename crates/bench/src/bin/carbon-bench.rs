@@ -10,7 +10,8 @@
 //! `target/carbon-bench/<group>.jsonl` by the bench binaries) and exits
 //! nonzero when any benchmark's median regressed more than the
 //! threshold (default 10 %) *and* escaped the baseline's recorded
-//! min..max noise band. `ci.sh` runs this against the committed
+//! min..max noise band, or when a baseline id is missing from the
+//! candidate. `ci.sh` runs this against the committed
 //! baseline in `benches/baseline/` when `CARBON_BENCH_COMPARE=1`.
 //!
 //! `trace-summary` folds a `CARBON_TRACE` JSONL event stream into the
@@ -617,8 +618,7 @@ fn run_compare(args: &[String]) -> ExitCode {
 
     let cmp = compare(&snapshots[0], &snapshots[1], threshold);
     print!("{cmp}");
-    let regressions = cmp.regressions();
-    if regressions.is_empty() {
+    if cmp.passed() {
         println!(
             "no regressions past {:.0} % across {} benchmark(s)",
             threshold * 100.0,
@@ -627,9 +627,10 @@ fn run_compare(args: &[String]) -> ExitCode {
         ExitCode::SUCCESS
     } else {
         println!(
-            "{} benchmark(s) regressed past {:.0} %",
-            regressions.len(),
-            threshold * 100.0
+            "{} benchmark(s) regressed past {:.0} %, {} missing from the candidate",
+            cmp.regressions().len(),
+            threshold * 100.0,
+            cmp.only_old.len()
         );
         ExitCode::FAILURE
     }

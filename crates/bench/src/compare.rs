@@ -5,8 +5,8 @@
 //! those lines (the writer emits a fixed, flat shape — no external JSON
 //! dependency needed) and diffs two snapshots: the `carbon-bench`
 //! binary's `compare` subcommand exits nonzero when any benchmark's
-//! median regresses past a threshold, which `ci.sh` can opt into via
-//! `CARBON_BENCH_COMPARE=1`.
+//! median regresses past a threshold or a baseline id is missing from
+//! the candidate.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -111,7 +111,7 @@ pub struct Comparison {
     /// Per-benchmark deltas for ids present in both snapshots, in
     /// baseline order.
     pub deltas: Vec<Delta>,
-    /// Ids only in the baseline (removed benchmarks).
+    /// Ids only in the baseline; any fails [`Comparison::passed`].
     pub only_old: Vec<String>,
     /// Ids only in the candidate (new benchmarks).
     pub only_new: Vec<String>,
@@ -127,6 +127,11 @@ impl Comparison {
             .iter()
             .filter(|d| d.regressed(self.threshold))
             .collect()
+    }
+
+    /// No regressions and no baseline id missing from the candidate.
+    pub fn passed(&self) -> bool {
+        self.only_old.is_empty() && self.regressions().is_empty()
     }
 }
 
@@ -155,7 +160,7 @@ impl fmt::Display for Comparison {
             )?;
         }
         for id in &self.only_old {
-            writeln!(f, "{id:<44} (removed — only in baseline)")?;
+            writeln!(f, "{id:<44} MISSING (in baseline, not in candidate)")?;
         }
         for id in &self.only_new {
             writeln!(f, "{id:<44} (new — not in baseline)")?;
@@ -271,6 +276,21 @@ mod tests {
         assert_eq!(cmp.only_new, vec!["fresh".to_string()]);
         assert_eq!(cmp.deltas.len(), 1);
         assert!(cmp.regressions().is_empty());
+    }
+
+    #[test]
+    fn a_baseline_id_missing_from_the_candidate_fails() {
+        // A renamed counter row must not slip out of a threshold-0 gate.
+        let old = [rec("trace/counter/spice.tran.steps", 2000)];
+        let renamed = [rec("trace/counter/spice.tran.step", 2000)];
+        let cmp = compare(&old, &renamed, 0.0);
+        assert!(cmp.regressions().is_empty());
+        assert!(!cmp.passed(), "{cmp}");
+        assert!(cmp.to_string().contains("MISSING"), "{cmp}");
+
+        // New rows alone are fine.
+        let grown = [old[0].clone(), rec("trace/gauge/runtime.queue", 0)];
+        assert!(compare(&old, &grown, 0.0).passed());
     }
 
     #[test]

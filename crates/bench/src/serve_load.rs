@@ -467,12 +467,13 @@ pub fn run(config: &LoadConfig) -> Result<LoadReport, String> {
     let _ = writeln!(
         summary,
         "  ok {} busy {busy} failed {failed} | server: accepted {} rejected {} timed-out {} \
-         protocol-errors {}",
+         protocol-errors {} validation-errors {}",
         all.len(),
         stats.accepted,
         stats.rejected_busy,
         stats.timed_out,
         stats.protocol_errors,
+        stats.validation_errors,
     );
     let _ = writeln!(
         summary,
@@ -494,10 +495,10 @@ pub fn run(config: &LoadConfig) -> Result<LoadReport, String> {
         );
     }
 
-    if stats.protocol_errors > 0 {
+    if stats.protocol_errors + stats.validation_errors > 0 {
         return Err(format!(
-            "server counted {} protocol error(s)",
-            stats.protocol_errors
+            "server counted {} protocol error(s) and {} validation error(s)",
+            stats.protocol_errors, stats.validation_errors
         ));
     }
     if failed > 0 {

@@ -7,7 +7,7 @@
 //! production, always:
 //!
 //! * **Hermetic** — no registry dependencies; `std` plus the shared
-//!   [`carbon_json`] renderer.
+//!   [`carbon_json`] renderer and the [`carbon_trace`] sink.
 //! * **Lock-free on record** — counters are sharded relaxed atomics,
 //!   gauges a single atomic, histograms fixed atomic bucket arrays.
 //!   Recording never allocates, never locks, never formats. The only
@@ -30,6 +30,10 @@
 //!   in `[2^(k-1), 2^k)`. Bucket boundaries are compile-time constants
 //!   — every histogram in every process has the identical layout, so
 //!   two shards' snapshots merge bucket-by-bucket.
+//!
+//! The registry is the only place a counter or gauge is recorded; the
+//! trace observes: each update also emits the matching `carbon-trace`
+//! event under the instrument's name while a subscriber is installed.
 //!
 //! # Snapshots
 //!
@@ -130,32 +134,29 @@ fn shard_id() -> usize {
 /// A monotonic counter: relaxed atomic adds into per-thread shards,
 /// summed on read. Totals are exact — every add lands in exactly one
 /// shard — while concurrent writers on different threads typically
-/// touch different cache lines.
+/// touch different cache lines. Adds are forwarded to the trace.
 pub struct Counter {
+    name: &'static str,
     shards: [Shard; COUNTER_SHARDS],
 }
 
-impl Default for Counter {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl Counter {
-    /// A zeroed counter.
-    pub fn new() -> Self {
+    /// A zeroed counter named `name` (the name its trace events carry).
+    pub fn new(name: &'static str) -> Self {
         Self {
+            name,
             shards: std::array::from_fn(|_| Shard::default()),
         }
     }
 
     /// Adds `delta`. Lock-free: one thread-local read and one relaxed
-    /// `fetch_add`.
+    /// `fetch_add`, plus the trace's [`carbon_trace::enabled`] check.
     #[inline]
     pub fn add(&self, delta: u64) {
         self.shards[shard_id()]
             .0
             .fetch_add(delta, Ordering::Relaxed);
+        carbon_trace::counter_add(self.name, delta);
     }
 
     /// Adds 1.
@@ -176,40 +177,49 @@ impl Counter {
 impl std::fmt::Debug for Counter {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Counter")
+            .field("name", &self.name)
             .field("total", &self.total())
-            .finish()
+            .finish_non_exhaustive()
     }
 }
 
 /// A set-valued gauge (queue depth, in-flight chunks, uptime). Reads
-/// and writes are single relaxed atomic operations.
-#[derive(Debug, Default)]
+/// and writes are single relaxed atomic operations. Writes forward the
+/// new value to the trace (negative values clamp to 0).
+#[derive(Debug)]
 pub struct Gauge {
+    name: &'static str,
     value: AtomicI64,
 }
 
 impl Gauge {
-    /// A zeroed gauge.
-    pub fn new() -> Self {
-        Self::default()
+    /// A zeroed gauge named `name` (the name its trace events carry).
+    pub fn new(name: &'static str) -> Self {
+        Self {
+            name,
+            value: AtomicI64::new(0),
+        }
     }
 
     /// Sets the gauge.
     #[inline]
     pub fn set(&self, value: i64) {
         self.value.store(value, Ordering::Relaxed);
+        carbon_trace::gauge_set(self.name, value);
     }
 
     /// Adds `delta` (may be negative).
     #[inline]
     pub fn add(&self, delta: i64) {
-        self.value.fetch_add(delta, Ordering::Relaxed);
+        let prev = self.value.fetch_add(delta, Ordering::Relaxed);
+        carbon_trace::gauge_set(self.name, prev.wrapping_add(delta));
     }
 
     /// Subtracts `delta`.
     #[inline]
     pub fn sub(&self, delta: i64) {
-        self.value.fetch_sub(delta, Ordering::Relaxed);
+        let prev = self.value.fetch_sub(delta, Ordering::Relaxed);
+        carbon_trace::gauge_set(self.name, prev.wrapping_sub(delta));
     }
 
     /// The current value.
@@ -405,10 +415,10 @@ impl Registry {
     /// # Panics
     ///
     /// Panics if `name` is already registered as a different kind.
-    pub fn counter(&self, name: &str) -> Arc<Counter> {
+    pub fn counter(&self, name: &'static str) -> Arc<Counter> {
         self.register(
             name,
-            || Metric::Counter(Arc::new(Counter::new())),
+            || Metric::Counter(Arc::new(Counter::new(name))),
             |m| match m {
                 Metric::Counter(c) => Some(Arc::clone(c)),
                 _ => None,
@@ -421,10 +431,10 @@ impl Registry {
     /// # Panics
     ///
     /// Panics if `name` is already registered as a different kind.
-    pub fn gauge(&self, name: &str) -> Arc<Gauge> {
+    pub fn gauge(&self, name: &'static str) -> Arc<Gauge> {
         self.register(
             name,
-            || Metric::Gauge(Arc::new(Gauge::new())),
+            || Metric::Gauge(Arc::new(Gauge::new(name))),
             |m| match m {
                 Metric::Gauge(g) => Some(Arc::clone(g)),
                 _ => None,
@@ -600,7 +610,7 @@ mod tests {
 
     #[test]
     fn counter_totals_exactly() {
-        let c = Counter::new();
+        let c = Counter::new("unit.total");
         c.incr();
         c.add(41);
         assert_eq!(c.total(), 42);
@@ -608,13 +618,35 @@ mod tests {
 
     #[test]
     fn gauge_set_add_sub() {
-        let g = Gauge::new();
+        let g = Gauge::new("unit.gauge");
         g.set(5);
         g.add(3);
         g.sub(7);
         assert_eq!(g.get(), 1);
         g.set(-4);
         assert_eq!(g.get(), -4);
+    }
+
+    #[test]
+    fn counters_and_gauges_forward_to_the_trace_when_enabled() {
+        use carbon_trace::collect::Collector;
+
+        let r = Registry::new();
+        let hits = r.counter("unit.fwd.hits");
+        let depth = r.gauge("unit.fwd.depth");
+        hits.add(5); // tracing off: registry only
+        let collector = Collector::new();
+        carbon_trace::with_subscriber(collector.clone(), || {
+            hits.incr();
+            hits.add(3);
+            depth.set(4);
+            depth.add(2);
+            depth.sub(7);
+        });
+        assert_eq!(hits.total(), 9);
+        assert_eq!(collector.counter_total("unit.fwd.hits"), 4);
+        assert_eq!(collector.gauge_values("unit.fwd.depth"), vec![4, 6, 0]);
+        assert_eq!(depth.get(), -1);
     }
 
     #[test]

@@ -34,10 +34,12 @@ pub(crate) struct ServeMetrics {
     pub timed_out: Arc<Counter>,
     /// Jobs that ran to an `ok` response.
     pub completed: Arc<Counter>,
-    /// Jobs that failed in validation or execution.
+    /// Admitted jobs that failed in execution.
     pub errored: Arc<Counter>,
-    /// Frames that were not valid request envelopes.
+    /// Frames that were not request envelopes.
     pub protocol_errors: Arc<Counter>,
+    /// Envelopes whose request failed validation.
+    pub validation_errors: Arc<Counter>,
     /// `ping` fast-path requests answered.
     pub ping: Arc<Counter>,
     /// `stats` fast-path requests answered.
@@ -87,6 +89,7 @@ impl ServeMetrics {
             completed: registry.counter("serve.completed"),
             errored: registry.counter("serve.errored"),
             protocol_errors: registry.counter("serve.protocol_errors"),
+            validation_errors: registry.counter("serve.validation_errors"),
             ping: registry.counter("serve.ping"),
             stats: registry.counter("serve.stats"),
             worker_busy_ns: registry.counter("serve.worker_busy_ns"),
@@ -169,6 +172,7 @@ impl ServeMetrics {
             completed: self.completed.total(),
             errored: self.errored.total(),
             protocol_errors: self.protocol_errors.total(),
+            validation_errors: self.validation_errors.total(),
             cache_hits: self.cache_hit.total(),
             cache_misses: self.cache_miss.total(),
             cache_coalesced: self.cache_coalesced.total(),

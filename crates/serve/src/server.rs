@@ -116,10 +116,12 @@ pub struct ServerStats {
     /// Jobs that answered `ok` — freshly solved or served from the
     /// response cache.
     pub completed: u64,
-    /// Jobs that failed in validation or execution (`error` responses).
+    /// Admitted jobs that failed in execution (`exec` error responses).
     pub errored: u64,
-    /// Frames that were not valid request envelopes.
+    /// Frames that were not UTF-8, not JSON, or had no scalar `id`.
     pub protocol_errors: u64,
+    /// Envelopes with an invalid `timeout_ms` or `job`.
+    pub validation_errors: u64,
     /// Admitted jobs served from the response cache (directly or by
     /// waiting on an identical in-flight solve).
     pub cache_hits: u64,
@@ -320,17 +322,22 @@ fn connection_loop(
             Ok(Some(body)) => body,
             Ok(None) | Err(_) => return,
         };
-        let response = match parse_envelope(&body, default_timeout_ms) {
-            // ping/stats are answered here, on the connection thread,
-            // before admission — a full queue cannot starve them.
-            Ok((id, job, _, _)) if job.is_fast_path() => {
-                fast_path_response(&id, &job, queue, metrics)
-            }
-            Ok((id, job, key, timeout_ms)) => dispatch(id, job, key, timeout_ms, queue, metrics),
+        let response = match parse_envelope(&body) {
             Err(resp) => {
                 metrics.protocol_errors.incr();
                 resp
             }
+            Ok((id, envelope)) => match validate_request(&id, &envelope, default_timeout_ms) {
+                Err(resp) => {
+                    metrics.validation_errors.incr();
+                    resp
+                }
+                // ping/stats skip admission: a full queue cannot starve them.
+                Ok((job, _, _)) if job.is_fast_path() => {
+                    fast_path_response(&id, &job, queue, metrics)
+                }
+                Ok((job, key, timeout_ms)) => dispatch(id, job, key, timeout_ms, queue, metrics),
+            },
         };
         if write_frame(&mut stream, &response).is_err() {
             return;
@@ -374,13 +381,9 @@ fn fast_path_response(
     }
 }
 
-/// Validates one request envelope into `(id, job, key, timeout_ms)`,
-/// where `key` is the canonical content key of the `job` field;
-/// failures come back as ready-to-send response bytes.
-fn parse_envelope(
-    body: &[u8],
-    default_timeout_ms: Option<u64>,
-) -> Result<(Json, Job, u64, Option<u64>), Vec<u8>> {
+/// Parses one frame into `(id, envelope)`; a failure is a protocol
+/// error, returned as ready-to-send response bytes.
+fn parse_envelope(body: &[u8]) -> Result<(Json, Json), Vec<u8>> {
     let text = std::str::from_utf8(body)
         .map_err(|_| error_response(&Json::Null, "parse", "request is not UTF-8"))?;
     let envelope =
@@ -396,13 +399,24 @@ fn parse_envelope(
             "request.id must be a scalar",
         ));
     }
+    Ok((id, envelope))
+}
+
+/// Validates a parsed envelope into `(job, key, timeout_ms)`, where
+/// `key` is the canonical content key of the `job` field; a failure is
+/// a validation error, answered under the request's `id`.
+fn validate_request(
+    id: &Json,
+    envelope: &Json,
+    default_timeout_ms: Option<u64>,
+) -> Result<(Job, u64, Option<u64>), Vec<u8>> {
     let timeout_ms = match envelope.get("timeout_ms") {
         None | Some(Json::Null) => default_timeout_ms,
         Some(v) => match v.as_u64() {
             Some(ms) if ms > 0 => Some(ms),
             _ => {
                 return Err(error_response(
-                    &id,
+                    id,
                     "validate",
                     "request.timeout_ms must be a positive integer",
                 ))
@@ -411,17 +425,17 @@ fn parse_envelope(
     };
     let job_field = envelope
         .get("job")
-        .ok_or_else(|| error_response(&id, "validate", "request.job is required"))?;
+        .ok_or_else(|| error_response(id, "validate", "request.job is required"))?;
     let job = Job::from_json(job_field).map_err(|e| match e {
-        JobError::Invalid { reason } => error_response(&id, "validate", &reason),
-        other => error_response(&id, "validate", &other.to_string()),
+        JobError::Invalid { reason } => error_response(id, "validate", &reason),
+        other => error_response(id, "validate", &other.to_string()),
     })?;
     // Content identity of the work itself: the `job` field only, in
     // canonical (sorted-key) form. `id` and `timeout_ms` are excluded —
     // an `ok` response is a pure function of the job body, so neither
     // may split the cache key space.
     let key = job_field.canonical_key();
-    Ok((id, job, key, timeout_ms))
+    Ok((job, key, timeout_ms))
 }
 
 /// Admits the job (or answers `busy`) and waits for the worker's
@@ -449,15 +463,12 @@ fn dispatch(
             metrics
                 .queue_depth
                 .set(i64::try_from(depth).unwrap_or(i64::MAX));
-            carbon_trace::counter!("serve.accepted");
-            carbon_trace::gauge!("serve.queue_depth", depth);
             resp_rx.recv().unwrap_or_else(|_| {
                 error_response(&id, "exec", "worker dropped the job (server shutting down)")
             })
         }
         Err(_rejected) => {
             metrics.rejected_busy.incr();
-            carbon_trace::counter!("serve.rejected_busy");
             busy_response(&id, queue.depth(), queue.capacity())
         }
     }
@@ -543,7 +554,6 @@ fn worker_loop(
             CacheDecision::Served(response) => {
                 metrics.cache_hit.incr();
                 metrics.completed.incr();
-                carbon_trace::counter!("serve.cache.hit");
                 metrics.cache_hit_latency.record(
                     u64::try_from(ticket.enqueued.elapsed().as_nanos()).unwrap_or(u64::MAX),
                 );
@@ -559,7 +569,6 @@ fn worker_loop(
             CacheDecision::WaitTimedOut => {
                 metrics.cache_miss.incr();
                 metrics.timed_out.incr();
-                carbon_trace::counter!("serve.timed_out");
                 let response = timeout_response(
                     &ticket.id,
                     kind,
@@ -619,7 +628,6 @@ fn worker_loop(
             }
             Err(JobError::Cancelled { message }) => {
                 metrics.timed_out.incr();
-                carbon_trace::counter!("serve.timed_out");
                 ("timeout", timeout_response(&ticket.id, kind, &message))
             }
             Err(e) => {

@@ -288,6 +288,7 @@ fn responses_are_byte_identical_cold_warm_and_interleaved() {
                 check_against_reference(&warm, &mut reference, |id| id, &format!("{context} warm"));
                 let stats = server.shutdown();
                 assert_eq!(stats.protocol_errors, 0);
+                assert_eq!(stats.validation_errors, 0);
                 assert_eq!(stats.accepted, 2 * n, "{context}");
                 assert_eq!(stats.completed, 2 * n, "{context}");
                 assert_eq!(
@@ -317,6 +318,7 @@ fn responses_are_byte_identical_cold_warm_and_interleaved() {
                 );
                 let stats = server.shutdown();
                 assert_eq!(stats.protocol_errors, 0);
+                assert_eq!(stats.validation_errors, 0);
                 assert_eq!(stats.accepted, 2 * n, "{context}");
                 assert_eq!(stats.completed, 2 * n, "{context}");
                 assert_eq!(

@@ -86,6 +86,7 @@ fn round_trips_every_job_kind() {
     assert_eq!(stats.accepted, requests.len() as u64);
     assert_eq!(stats.completed, requests.len() as u64);
     assert_eq!(stats.protocol_errors, 0);
+    assert_eq!(stats.validation_errors, 0);
 }
 
 #[test]
@@ -182,7 +183,11 @@ fn invalid_requests_get_structured_errors_and_the_connection_survives() {
 
     let stats = server.shutdown();
     assert_eq!(stats.accepted, 1, "only the final good job was admitted");
-    assert!(stats.protocol_errors >= 3);
+    // Not JSON and missing id are protocol errors; the unknown kind and
+    // the bad field value are well-formed requests that fail validation.
+    assert_eq!(stats.protocol_errors, 2);
+    assert_eq!(stats.validation_errors, 2);
+    assert_eq!(stats.errored, 0);
 }
 
 #[test]
@@ -541,4 +546,5 @@ fn graceful_drain_answers_every_admitted_job() {
     assert_eq!(stats.completed, 20);
     assert_eq!(stats.connections, 4);
     assert_eq!(stats.protocol_errors, 0);
+    assert_eq!(stats.validation_errors, 0);
 }

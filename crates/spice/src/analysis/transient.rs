@@ -38,7 +38,7 @@ use super::{newton_solve, CapCompanion, IndCompanion, MnaWorkspace, NameTable, N
 use crate::element::ElementKind;
 use crate::error::SpiceError;
 use crate::netlist::Circuit;
-use carbon_trace::{counter, instant, span};
+use carbon_trace::{instant, span};
 
 /// Which time-stepping scheme [`Circuit::transient_with`] uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -443,6 +443,10 @@ impl Circuit {
     }
 }
 
+/// Most time points [`fixed_loop`] reserves up front, so a huge step
+/// count reaches the cancellation checkpoint instead of aborting.
+const PRERESERVE_STEPS: usize = 1 << 16;
+
 /// The fixed-step integrator: `steps` uniform steps of `tstep`,
 /// backward Euler first then trapezoidal, final sample exactly at
 /// `tstop`. Numerically identical to the pre-refactor `transient()`
@@ -462,8 +466,8 @@ fn fixed_loop(
     times: &mut Vec<f64>,
     samples: &mut Vec<Vec<f64>>,
 ) -> Result<(usize, usize), SpiceError> {
-    times.reserve(steps);
-    samples.reserve(steps);
+    times.reserve(steps.min(PRERESERVE_STEPS));
+    samples.reserve(steps.min(PRERESERVE_STEPS));
     for k in 1..=steps {
         // Checkpoint between time steps: a deadline that expires
         // mid-transient stops before the next integration step (the
@@ -524,7 +528,6 @@ fn fixed_loop(
             })?;
         }
         companions.commit(x);
-        counter!("spice.tran.step");
         carbon_metrics::global_counter!("spice.tran.steps").incr();
         times.push(t);
         samples.push(x.to_vec());
@@ -687,7 +690,6 @@ fn adaptive_loop(
             times.push(t);
             samples.push(x.to_vec());
             accepted += 1;
-            counter!("spice.tran.step");
             carbon_metrics::global_counter!("spice.tran.steps").incr();
             last_failure = None;
             if lands && t < tstop {
@@ -709,7 +711,6 @@ fn adaptive_loop(
             }
         } else {
             rejected += 1;
-            counter!("spice.tran.reject");
             carbon_metrics::global_counter!("spice.tran.rejects").incr();
             instant!("spice.tran.reject", "t" = t, "h" = h_step, "err" = err_norm);
             h = h_step * 0.5;

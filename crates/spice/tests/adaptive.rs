@@ -405,6 +405,6 @@ fn transient_factors_once_and_replays_every_newton_iteration() {
             .filter_map(Value::as_u64)
             .collect();
         assert_eq!(recorded, vec![steps as u64]);
-        assert_eq!(collector.counter_total("spice.tran.step"), steps as u64);
+        assert_eq!(collector.counter_total("spice.tran.steps"), steps as u64);
     }
 }

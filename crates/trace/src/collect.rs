@@ -68,17 +68,6 @@ impl Collector {
             .collect()
     }
 
-    /// The last value observed on the named gauge, if any.
-    pub fn gauge_last(&self, name: &str) -> Option<u64> {
-        self.gauge_values(name).last().copied()
-    }
-
-    /// The (min, max) of every value observed on the named gauge.
-    pub fn gauge_minmax(&self, name: &str) -> Option<(u64, u64)> {
-        let values = self.gauge_values(name);
-        Some((*values.iter().min()?, *values.iter().max()?))
-    }
-
     /// The values of field `key` across every span named `name`, in
     /// arrival order (spans without the field are skipped).
     pub fn span_field(&self, name: &str, key: &str) -> Vec<Value> {

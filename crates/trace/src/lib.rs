@@ -1,5 +1,5 @@
 //! Zero-dependency instrumentation for the carbon-electronics stack:
-//! structured spans, counters, and a pluggable [`Subscriber`] with a
+//! structured spans and instants, and a pluggable [`Subscriber`] with a
 //! JSONL exporter.
 //!
 //! The simulation stack got fast by being adaptive — replay
@@ -18,15 +18,17 @@
 //!
 //! # Model
 //!
-//! Three event kinds ([`Event`]):
+//! Four event kinds ([`Event`]):
 //!
 //! * **Spans** — named, timed regions with key/value fields, nested via
 //!   a thread-local stack ([`span!`] returns an RAII guard; the
 //!   completed span is dispatched on drop).
 //! * **Instants** — point events with fields (e.g. one continuation
 //!   step-halving).
-//! * **Counters** — named monotonic deltas (e.g. one replay
-//!   refactorization).
+//! * **Counters** and **gauges** — recorded in the `carbon-metrics`
+//!   registry, whose instruments forward each update here through
+//!   [`counter_add`] / [`gauge_set`]. The registry records; the trace
+//!   observes.
 //!
 //! Events go to a [`Subscriber`]: either the process-global one —
 //! installed explicitly with [`install_global`] or implicitly from the
@@ -446,7 +448,9 @@ pub fn instant(name: &'static str, fields: Vec<Field>) {
     });
 }
 
-/// Adds `delta` to the named counter (skipped when tracing is disabled).
+/// Dispatches a counter event (skipped when tracing is disabled); the
+/// `carbon-metrics` `Counter` is the only caller.
+#[inline]
 pub fn counter_add(name: &'static str, delta: u64) {
     if !enabled() {
         return;
@@ -458,15 +462,17 @@ pub fn counter_add(name: &'static str, delta: u64) {
     });
 }
 
-/// Records a set-valued observation on the named gauge (skipped when
-/// tracing is disabled).
-pub fn gauge_set(name: &'static str, value: u64) {
+/// Dispatches a gauge event, clamping negative values to 0 (skipped
+/// when tracing is disabled); the `carbon-metrics` `Gauge` is the only
+/// caller.
+#[inline]
+pub fn gauge_set(name: &'static str, value: i64) {
     if !enabled() {
         return;
     }
     dispatch(&Event::Gauge {
         name,
-        value,
+        value: u64::try_from(value).unwrap_or(0),
         thread: thread_id(),
     });
 }
@@ -487,31 +493,6 @@ macro_rules! span {
         }
         span
     }};
-}
-
-/// Increments a named counter: `counter!("spice.sparse.replay")` adds 1,
-/// `counter!("name", n)` adds `n`.
-#[macro_export]
-macro_rules! counter {
-    ($name:expr) => {
-        $crate::counter_add($name, 1)
-    };
-    ($name:expr, $delta:expr) => {
-        $crate::counter_add($name, $delta)
-    };
-}
-
-/// Records a set-valued gauge observation:
-/// `gauge!("serve.queue_depth", depth)`. The value expression is only
-/// evaluated when tracing is enabled.
-#[macro_export]
-macro_rules! gauge {
-    ($name:expr, $value:expr) => {
-        if $crate::enabled() {
-            #[allow(clippy::cast_possible_truncation, clippy::cast_lossless)]
-            $crate::gauge_set($name, ($value) as u64);
-        }
-    };
 }
 
 /// Emits a point event with fields:
@@ -546,23 +527,19 @@ mod tests {
         assert!(!s.is_live());
         s.record("k", 1u64);
         drop(s);
-        counter!("unit.off.counter");
         instant!("unit.off.instant", "v" = 1.0);
-        gauge!("unit.off.gauge", 3usize);
     }
 
     #[test]
     fn gauges_record_set_values() {
         let collector = Collector::new();
         with_subscriber(collector.clone(), || {
-            gauge!("unit.depth", 5usize);
-            gauge!("unit.depth", 2u64);
-            gauge!("unit.depth", 9u32);
+            gauge_set("unit.depth", 5);
+            gauge_set("unit.depth", 2);
+            gauge_set("unit.depth", 9);
         });
         assert_eq!(collector.gauge_values("unit.depth"), vec![5, 2, 9]);
-        assert_eq!(collector.gauge_last("unit.depth"), Some(9));
-        assert_eq!(collector.gauge_minmax("unit.depth"), Some((2, 9)));
-        assert_eq!(collector.gauge_last("unit.absent"), None);
+        assert!(collector.gauge_values("unit.absent").is_empty());
     }
 
     #[test]
@@ -613,9 +590,9 @@ mod tests {
     fn counters_accumulate_in_collector() {
         let collector = Collector::new();
         with_subscriber(collector.clone(), || {
-            counter!("unit.hits");
-            counter!("unit.hits", 4);
-            counter!("unit.other");
+            counter_add("unit.hits", 1);
+            counter_add("unit.hits", 4);
+            counter_add("unit.other", 1);
         });
         assert_eq!(collector.counter_total("unit.hits"), 5);
         assert_eq!(collector.counter_total("unit.other"), 1);
@@ -627,8 +604,8 @@ mod tests {
         let a = Collector::new();
         let b = Collector::new();
         with_subscriber(a.clone(), || {
-            with_subscriber(b.clone(), || counter!("unit.inner.only"));
-            counter!("unit.outer.only");
+            with_subscriber(b.clone(), || counter_add("unit.inner.only", 1));
+            counter_add("unit.outer.only", 1);
         });
         assert_eq!(b.counter_total("unit.inner.only"), 1);
         assert_eq!(b.counter_total("unit.outer.only"), 0);
