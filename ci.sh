@@ -169,11 +169,11 @@ grep -q '"id":"trace/gauge/serve.queue_depth"' "$trace_dir/serve-summary.jsonl" 
 
 # Metrics smoke: the same traced run's compare-JSONL rows carry the
 # server's own `stats` snapshot. Gate on server-side health: every job
-# admitted, none timed out, one warmup ping per connection, and every
-# admission classified exactly once by the response cache — misses
-# fill the per-kind solve-latency histograms, hits the dedicated
-# `serve.cache.hit_latency_ns` histogram, and the two partitions sum
-# back to `accepted`.
+# accepted, none timed out, one warmup ping per connection, and every
+# accepted request classified exactly once by the response cache —
+# misses fill the per-kind solve-latency and queue-wait histograms,
+# hits the dedicated `serve.cache.hit_latency_ns` histogram, and the
+# two partitions sum back to `accepted`.
 echo "==> metrics smoke: stats snapshot accounts for every job"
 row_val() {
   grep "\"id\":\"$1\"" "${2:-$trace_dir/serve-rows.jsonl}" | head -1 \
@@ -197,6 +197,13 @@ lat_total=$(grep '"id":"serve/stats/serve\.latency_ns\.[a-z0-9_]*/count"' \
   | sed 's/.*"median_ns":\([0-9]*\).*/\1/' | awk '{s+=$1} END {print s+0}')
 [[ "$lat_total" -eq "${misses:-0}" ]] \
   || { echo "solve-latency histogram totals ($lat_total) != cache misses (${misses:-?})"; exit 1; }
+# Hits and coalesced waiters are answered on their connection threads:
+# only misses ever wait in the queue for a worker.
+wait_total=$(grep '"id":"serve/stats/serve\.queue_wait_ns\.[a-z0-9_]*/count"' \
+    "$trace_dir/serve-rows.jsonl" \
+  | sed 's/.*"median_ns":\([0-9]*\).*/\1/' | awk '{s+=$1} END {print s+0}')
+[[ "$wait_total" -eq "${misses:-0}" ]] \
+  || { echo "queue-wait histogram totals ($wait_total) != cache misses (${misses:-?})"; exit 1; }
 hit_hist=$(row_val 'serve/stats/serve.cache.hit_latency_ns/count')
 [[ "${hit_hist:-0}" -eq "${hits:-0}" ]] \
   || { echo "hit-latency histogram count (${hit_hist:-?}) != cache hits (${hits:-?})"; exit 1; }

@@ -402,9 +402,9 @@ pub fn run(config: &LoadConfig) -> Result<LoadReport, String> {
     let stats_snapshot = fetch_stats(addr)?;
     let stats = server.shutdown();
 
-    // The classification invariant: every admitted job was counted as
-    // exactly one of hit/miss. A drift here means the worker path lost
-    // track of a ticket.
+    // The classification invariant: every accepted request was counted
+    // as exactly one of hit/miss. A drift here means classification
+    // lost track of a request.
     if stats.cache_hits + stats.cache_misses != stats.accepted {
         return Err(format!(
             "cache accounting violated: hits {} + misses {} != accepted {}",

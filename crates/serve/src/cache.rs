@@ -2,8 +2,8 @@
 //!
 //! The determinism contract makes every queued response a pure function
 //! of its canonical job body, so a repeated deck is a hash lookup, not
-//! a Newton solve. This module provides the two mechanisms the worker
-//! path composes:
+//! a Newton solve. This module provides the two mechanisms a
+//! connection thread composes when it classifies a request:
 //!
 //! - **Sharded LRU over response bytes.** Sixteen lock-striped shards,
 //!   each an LRU keyed by the canonical job key
@@ -15,10 +15,11 @@
 //!   shard's budget evicts least-recently-touched entries first, in a
 //!   deterministic order under single-thread replay.
 //!
-//! - **Single-flight.** The first worker to miss on a key becomes the
-//!   *leader* and solves; concurrent workers with the same key get a
-//!   [`Lookup::Wait`] handle and block on the leader's [`Flight`]
-//!   instead of re-solving. A thundering herd of one fig7 campaign
+//! - **Single-flight.** The first request to miss on a key becomes the
+//!   *leader* and is queued for a worker to solve; concurrent requests
+//!   with the same key get a [`Lookup::Wait`] handle and block their
+//!   own connection thread on the leader's [`Flight`] instead of
+//!   re-solving. A thundering herd of one fig7 campaign
 //!   costs one solve. If the leader fails (error, timeout, panic), its
 //!   [`FlightGuard`] publishes the failure and waiters retry the
 //!   lookup — the next one in becomes the new leader, so a transient
@@ -27,7 +28,7 @@
 //! Both structures for a key live under *one* per-shard mutex, so the
 //! hit / lead / wait classification and the leader's completion are
 //! each atomic with respect to the shard: there is no window in which
-//! two workers can both elect themselves leader for a key, and no
+//! two requests can both elect themselves leader for a key, and no
 //! window in which a waiter can register on a flight that has already
 //! published.
 //!
@@ -159,14 +160,14 @@ pub enum WaitOutcome {
     TimedOut,
 }
 
-/// Result of a cache lookup for one admitted job.
+/// Result of a cache lookup for one request.
 pub enum Lookup {
     /// Cached: the response bytes after the id prefix.
     Hit(Vec<u8>),
-    /// This worker is the leader for the key: solve, then resolve the
-    /// guard with [`FlightGuard::complete_ok`] or [`FlightGuard::fail`].
+    /// This request leads the key: solve it, then resolve the guard
+    /// with [`FlightGuard::complete_ok`] or [`FlightGuard::fail`].
     Lead(FlightGuard),
-    /// Another worker is already solving this key; block on the flight.
+    /// Another request's solve of this key is in flight; block on it.
     Wait(Arc<Flight>),
 }
 
@@ -178,6 +179,9 @@ pub struct InsertOutcome {
     pub inserted: bool,
     /// Bytes evicted (suffixes + overhead) to make room.
     pub evicted_bytes: u64,
+    /// Bytes resident across all shards once this completion settled,
+    /// as [`ResponseCache::bytes`] reports them.
+    pub resident_bytes: u64,
 }
 
 /// Leadership over one in-flight key. Dropping the guard without
@@ -214,7 +218,7 @@ impl Drop for FlightGuard {
 }
 
 /// The sharded LRU response cache. Construct with [`ResponseCache::new`]
-/// and share via `Arc` across the worker pool.
+/// and share via `Arc` across the connection threads.
 pub struct ResponseCache {
     shards: Vec<Mutex<Shard>>,
     /// Per-shard byte budget (total budget / shard count).
@@ -242,8 +246,8 @@ impl ResponseCache {
         &self.shards[(key as usize) & (SHARDS - 1)]
     }
 
-    /// Classifies one admitted job: served from cache, leader, or
-    /// waiter. Hits refresh the entry's LRU position.
+    /// Classifies one request: served from cache, leader, or waiter.
+    /// Hits refresh the entry's LRU position.
     pub fn begin(self: &Arc<Self>, key: u64) -> Lookup {
         let mut shard = self
             .shard(key)
@@ -355,6 +359,7 @@ impl ResponseCache {
             self.total_bytes
                 .fetch_sub(result.evicted_bytes, Ordering::Relaxed);
         }
+        result.resident_bytes = self.bytes();
         // Publish after the shard lock is released: waiters woken here
         // may immediately re-enter `begin` and must not contend with a
         // lock we still hold.

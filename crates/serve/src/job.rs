@@ -24,8 +24,9 @@
 //! [`Job::from_json`] performs the whole validation — unknown kinds are
 //! rejected with the valid choices listed, missing or ill-typed fields
 //! are named, numeric bounds are enforced, and the netlist deck is
-//! parsed — **before** the job is admitted to the queue, so a malformed
-//! request can never occupy a worker.
+//! parsed with every probe node checked against it — **before** the job
+//! is admitted to the queue, so a malformed request can never occupy a
+//! worker.
 //!
 //! Execution ([`Job::run`]) produces a [`Json`] tree with insertion-
 //! ordered fields and no timestamps, so the rendered result for a given
@@ -102,7 +103,7 @@ pub enum JobError {
         reason: String,
     },
     /// The analysis itself failed (non-convergence, singular matrix,
-    /// unknown probe node, ...).
+    /// unknown sweep source, ...).
     Exec {
         /// The underlying error, rendered.
         message: String,
@@ -281,16 +282,6 @@ impl Job {
         matches!(self, Self::Ping | Self::Stats)
     }
 
-    /// Whether an `ok` response for this job may be served from the
-    /// response cache. Exactly the queued kinds: their responses are
-    /// pure functions of the canonical job body under the byte-identity
-    /// contract. The fast-path kinds report operational state (uptime,
-    /// latency aggregates) and are never cached — and never reach a
-    /// worker anyway.
-    pub fn is_cacheable(&self) -> bool {
-        !self.is_fast_path()
-    }
-
     /// Validates the `"job"` object of a request.
     ///
     /// # Errors
@@ -307,10 +298,11 @@ impl Job {
             .and_then(Json::as_str)
             .ok_or_else(|| JobError::invalid("job.kind must be a string"))?;
         match kind {
-            "op" => Ok(Self::Op {
-                circuit: deck_field(job)?,
-                nodes: nodes_field(job)?,
-            }),
+            "op" => {
+                let circuit = deck_field(job)?;
+                let nodes = nodes_field(job, &circuit)?;
+                Ok(Self::Op { circuit, nodes })
+            }
             "dc_sweep" => {
                 let from = num_field(job, "from")?;
                 let to = num_field(job, "to")?;
@@ -320,13 +312,16 @@ impl Job {
                         "job.step = {step} must be positive"
                     )));
                 }
+                let circuit = deck_field(job)?;
+                let source = str_field(job, "source")?;
+                let nodes = nodes_field(job, &circuit)?;
                 Ok(Self::DcSweep {
-                    circuit: deck_field(job)?,
-                    source: str_field(job, "source")?,
+                    circuit,
+                    source,
                     from,
                     to,
                     step,
-                    nodes: nodes_field(job)?,
+                    nodes,
                 })
             }
             "ac_sweep" => {
@@ -365,11 +360,14 @@ impl Job {
                     )));
                 }
                 let freqs = log_grid(fstart, fstop, ppd);
+                let circuit = deck_field(job)?;
+                let source = str_field(job, "source")?;
+                let nodes = nodes_field(job, &circuit)?;
                 Ok(Self::AcSweep {
-                    circuit: deck_field(job)?,
-                    source: str_field(job, "source")?,
+                    circuit,
+                    source,
                     freqs,
-                    nodes: nodes_field(job)?,
+                    nodes,
                 })
             }
             "transient" => {
@@ -387,12 +385,15 @@ impl Job {
                         "job.tstep = {tstep} exceeds job.tstop = {tstop}"
                     )));
                 }
+                let circuit = deck_field(job)?;
+                let options = tran_options_fields(job)?;
+                let nodes = nodes_field(job, &circuit)?;
                 Ok(Self::Transient {
-                    circuit: deck_field(job)?,
+                    circuit,
                     tstep,
                     tstop,
-                    options: tran_options_fields(job)?,
-                    nodes: nodes_field(job)?,
+                    options,
+                    nodes,
                 })
             }
             "fig2" => Ok(Self::Fig2),
@@ -485,7 +486,7 @@ impl Job {
     ///
     /// # Errors
     ///
-    /// [`JobError::Exec`] for solver failures and unknown probe names,
+    /// [`JobError::Exec`] for solver failures,
     /// [`JobError::Cancelled`] when a deadline fires.
     pub fn run(&self) -> Result<Json, JobError> {
         match self {
@@ -972,8 +973,9 @@ fn tran_options_fields(job: &Json) -> Result<TranOptions, JobError> {
     Ok(options)
 }
 
-/// Required non-empty `nodes` array of non-empty strings.
-fn nodes_field(job: &Json) -> Result<Vec<String>, JobError> {
+/// Required non-empty `nodes` array of non-empty strings, each a node
+/// of `circuit` (ground included).
+fn nodes_field(job: &Json, circuit: &Circuit) -> Result<Vec<String>, JobError> {
     let items = job
         .get("nodes")
         .and_then(Json::as_array)
@@ -983,8 +985,14 @@ fn nodes_field(job: &Json) -> Result<Vec<String>, JobError> {
     }
     items
         .iter()
-        .map(|item| match item.as_str() {
-            Some(s) if !s.is_empty() => Ok(s.to_owned()),
+        .enumerate()
+        .map(|(i, item)| match item.as_str() {
+            Some(s) if !s.is_empty() => match circuit.find_node(s) {
+                Ok(_) => Ok(s.to_owned()),
+                Err(_) => Err(JobError::invalid(format!(
+                    "job.nodes[{i}] '{s}' is not a node of job.deck"
+                ))),
+            },
             _ => Err(JobError::invalid(
                 "job.nodes entries must be non-empty strings",
             )),
@@ -1158,17 +1166,86 @@ mod tests {
         assert_eq!(trace.len(), 5);
     }
 
+    /// One valid body per circuit kind over [`RC_DECK`], probing
+    /// `nodes`.
+    fn circuit_jobs(nodes: &[&str]) -> [Json; 4] {
+        let nodes = || Json::Arr(nodes.iter().map(|n| Json::Str((*n).into())).collect());
+        [
+            Json::obj()
+                .push("kind", "op")
+                .push("deck", RC_DECK)
+                .push("nodes", nodes()),
+            Json::obj()
+                .push("kind", "dc_sweep")
+                .push("deck", RC_DECK)
+                .push("source", "V1")
+                .push("from", 0.0)
+                .push("to", 1.0)
+                .push("step", 0.25)
+                .push("nodes", nodes()),
+            Json::obj()
+                .push("kind", "ac_sweep")
+                .push("deck", RC_DECK)
+                .push("source", "V1")
+                .push("fstart", 1.0)
+                .push("fstop", 100.0)
+                .push("points_per_decade", 2)
+                .push("nodes", nodes()),
+            Json::obj()
+                .push("kind", "transient")
+                .push("deck", RC_DECK)
+                .push("tstep", 1e-4)
+                .push("tstop", 1e-3)
+                .push("nodes", nodes()),
+        ]
+    }
+
     #[test]
-    fn unknown_probe_node_is_an_exec_error() {
-        let body = Json::obj()
-            .push("kind", "op")
-            .push("deck", RC_DECK)
-            .push("nodes", Json::Arr(vec![Json::Str("nope".into())]));
-        let err = Job::from_json(&body).unwrap().run().unwrap_err();
-        assert!(
-            matches!(&err, JobError::Exec { message } if message.contains("nope")),
-            "{err:?}"
-        );
+    fn unknown_probe_node_is_rejected_at_validation() {
+        for body in circuit_jobs(&["out", "nope"]) {
+            let err = Job::from_json(&body).unwrap_err();
+            assert!(
+                matches!(&err, JobError::Invalid { reason }
+                    if reason == "job.nodes[1] 'nope' is not a node of job.deck"),
+                "{}: {err:?}",
+                body.render()
+            );
+        }
+        // Probe names match case-insensitively, like the netlist's own.
+        for body in circuit_jobs(&["OUT", "In"]) {
+            assert!(Job::from_json(&body).is_ok(), "{}", body.render());
+        }
+    }
+
+    /// Every number in `j`, depth first.
+    fn numbers(j: &Json) -> Vec<f64> {
+        match j {
+            Json::Arr(items) => items.iter().flat_map(numbers).collect(),
+            Json::Obj(fields) => fields.iter().flat_map(|(_, v)| numbers(v)).collect(),
+            other => other.as_f64().into_iter().collect(),
+        }
+    }
+
+    #[test]
+    fn ground_probe_answers_zeros_for_every_kind() {
+        for body in circuit_jobs(&["0", "gnd", "out"]) {
+            let result = Job::from_json(&body)
+                .and_then(|job| job.run())
+                .unwrap_or_else(|e| panic!("{}: {e:?}", body.render()));
+            let nodes = result.get("nodes").expect("nodes object");
+            let out = numbers(nodes.get("out").expect("out probe"));
+            assert!(out.iter().any(|v| *v != 0.0), "{}", body.render());
+            for ground in ["0", "gnd"] {
+                // Shaped like the `out` probe, every value zero.
+                let zeros = numbers(nodes.get(ground).expect("ground probe"));
+                assert_eq!(zeros.len(), out.len(), "{ground} in {}", body.render());
+                assert!(
+                    zeros.iter().all(|v| *v == 0.0),
+                    "{ground} in {}: {zeros:?}",
+                    body.render()
+                );
+            }
+        }
     }
 
     #[test]
@@ -1466,7 +1543,6 @@ mod tests {
         let parsed = Job::from_json(&job(body)).unwrap();
         assert_eq!(parsed.kind(), "econ_point");
         assert!(!parsed.is_fast_path());
-        assert!(parsed.is_cacheable());
         let a = parsed.run().unwrap().render();
         let b = Job::from_json(&job(body)).unwrap().run().unwrap().render();
         assert_eq!(a, b, "same econ job renders byte-identically");

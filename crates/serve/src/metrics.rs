@@ -26,7 +26,9 @@ pub(crate) struct ServeMetrics {
     started: Instant,
     /// Connections accepted.
     pub connections: Arc<Counter>,
-    /// Jobs admitted to the queue.
+    /// Well-formed queued-kind requests not answered `busy`: cache hits
+    /// and coalesced waiters (answered on the connection thread) plus
+    /// jobs admitted to the queue.
     pub accepted: Arc<Counter>,
     /// Requests bounced with a `busy` response.
     pub rejected_busy: Arc<Counter>,
@@ -46,32 +48,35 @@ pub(crate) struct ServeMetrics {
     pub stats: Arc<Counter>,
     /// Total nanoseconds workers spent executing jobs.
     pub worker_busy_ns: Arc<Counter>,
-    /// Admitted jobs served from the response cache (directly or via a
-    /// coalesced flight).
+    /// Accepted requests answered from the response cache on their
+    /// connection thread (stored bytes, or a coalesced flight).
     pub cache_hit: Arc<Counter>,
-    /// Admitted jobs that had to solve (cache absent, disabled, or the
-    /// key was cold). `hit + miss == accepted` over a server's lifetime.
+    /// Accepted requests queued for a worker to solve (cache disabled,
+    /// or the key was cold), plus waiters whose deadline expired.
+    /// `hit + miss == accepted` over a server's lifetime.
     pub cache_miss: Arc<Counter>,
     /// `ok` responses stored into the cache.
     pub cache_insert: Arc<Counter>,
     /// Bytes evicted from the cache to respect the byte budget.
     pub cache_evict_bytes: Arc<Counter>,
-    /// Jobs that waited on another worker's in-flight identical solve
-    /// instead of solving themselves.
+    /// Requests whose connection thread waited on another request's
+    /// identical in-flight solve instead of queueing their own.
     pub cache_coalesced: Arc<Counter>,
     /// Bytes currently resident in the response cache.
     pub cache_bytes: Arc<Gauge>,
-    /// End-to-end latency of cache hits, ns. Deliberately separate from
-    /// the per-kind `serve.latency_ns.*` histograms, which record only
-    /// solved (miss) requests — hits would otherwise collapse solve
-    /// latency baselines.
+    /// Server-side latency of cache hits, ns: from classification on
+    /// the connection thread to the built response (a coalesced hit
+    /// includes its wait on the leader). Deliberately separate from the
+    /// per-kind `serve.latency_ns.*` histograms, which record only
+    /// misses — hits would otherwise collapse solve latency baselines.
     pub cache_hit_latency: Arc<Histogram>,
     /// Jobs currently admitted but not yet completed.
     pub queue_depth: Arc<Gauge>,
     uptime_ms: Arc<Gauge>,
-    /// Per-kind end-to-end latency (admission to response), ns.
+    /// Per-kind latency of misses (admission to response), ns.
     latency: BTreeMap<&'static str, Arc<Histogram>>,
-    /// Per-kind time spent waiting in the queue, ns.
+    /// Per-kind time spent waiting in the queue, ns. Recorded only for
+    /// dequeued (solved) jobs: hits and waiters never take a queue slot.
     queue_wait: BTreeMap<&'static str, Arc<Histogram>>,
 }
 

@@ -7,11 +7,16 @@
 //! a thread that reads frames *sequentially* — a connection has at most
 //! one request in flight, so per-connection response order is trivially
 //! the request order, and concurrency comes from the number of
-//! connections. Jobs are handed to a fixed pool of worker threads
-//! through the bounded queue; the pool is sized like the carbon-runtime
-//! executor (`CARBON_THREADS` or the machine's parallelism) so service
-//! workers and the executor's own fan-out (inside `fig7`-style jobs)
-//! follow one configuration.
+//! connections. The connection thread parses and validates a request,
+//! then classifies it against the response cache: a *hit* is answered
+//! right there, and a *waiter* (an identical job is already being
+//! solved) blocks its own connection thread on the leader's flight.
+//! Only a *leader* — or every job when the cache is disabled — is
+//! handed to the fixed pool of worker threads through the bounded
+//! queue, so workers only pop, solve, and publish. The pool is sized
+//! like the carbon-runtime executor (`CARBON_THREADS` or the machine's
+//! parallelism) so service workers and the executor's own fan-out
+//! (inside `fig7`-style jobs) follow one configuration.
 //!
 //! # Determinism
 //!
@@ -28,10 +33,15 @@
 //!
 //! Admission control is [`crate::queue::Bounded::try_push`]: a full
 //! queue answers `busy` immediately instead of stalling the connection.
-//! Each admitted job runs under a [`CancelToken`] scope whose deadline
-//! is the request's `timeout_ms` (or the server default); solver
-//! checkpoints inside carbon-spice turn an expired deadline into a
-//! `timeout` response between Newton iterations or sweep points.
+//! Only jobs that must be solved need a queue slot, so a cached deck is
+//! answered `ok` even while the queue is full. A leader bounced with
+//! `busy` drops its flight guard, which publishes failure: its waiters
+//! retry the lookup and one of them leads. Each solved job runs under a
+//! [`CancelToken`] scope whose deadline is the request's `timeout_ms`
+//! (or the server default); solver checkpoints inside carbon-spice turn
+//! an expired deadline into a `timeout` response between Newton
+//! iterations or sweep points. A waiter's deadline applies to its wait
+//! in the same way.
 //!
 //! # Shutdown
 //!
@@ -107,7 +117,10 @@ impl Default for ServerConfig {
 pub struct ServerStats {
     /// Connections accepted.
     pub connections: u64,
-    /// Jobs admitted to the queue.
+    /// Well-formed queued-kind requests not answered `busy`: cache hits
+    /// answered on the connection thread, coalesced waiters, and jobs
+    /// admitted to the queue. `accepted + rejected_busy` counts every
+    /// such request.
     pub accepted: u64,
     /// Requests bounced with a `busy` response.
     pub rejected_busy: u64,
@@ -122,15 +135,17 @@ pub struct ServerStats {
     pub protocol_errors: u64,
     /// Envelopes with an invalid `timeout_ms` or `job`.
     pub validation_errors: u64,
-    /// Admitted jobs served from the response cache (directly or by
-    /// waiting on an identical in-flight solve).
+    /// Accepted requests answered from the response cache on their
+    /// connection thread, without a queue slot or a worker: stored
+    /// bytes, or an identical in-flight solve they waited on.
     pub cache_hits: u64,
-    /// Admitted jobs a worker solved itself — counted whether the cache
-    /// is enabled or not, so `cache_hits + cache_misses == accepted`
+    /// Accepted requests a worker solved — counted whether the cache is
+    /// enabled or not — plus waiters whose deadline expired before their
+    /// leader finished, so `cache_hits + cache_misses == accepted`
     /// always holds.
     pub cache_misses: u64,
-    /// Jobs that coalesced onto another worker's identical in-flight
-    /// solve instead of solving themselves.
+    /// Requests whose connection thread waited on another request's
+    /// identical in-flight solve instead of queueing their own.
     pub cache_coalesced: u64,
     /// `ok` responses stored into the cache.
     pub cache_insertions: u64,
@@ -138,16 +153,15 @@ pub struct ServerStats {
     pub cache_evicted_bytes: u64,
 }
 
-/// An admitted job travelling from a connection thread to a worker.
+/// A job admitted to the queue, travelling from a connection thread to
+/// a worker.
 struct Ticket {
     /// The request's `id`, echoed verbatim into the response.
     id: Json,
     job: Job,
-    /// Canonical job key: FNV-1a-64 over the canonical (sorted-key)
-    /// rendering of the request's `job` field — `id` and `timeout_ms`
-    /// never participate, so identical decks from different clients
-    /// share a cache entry.
-    key: u64,
+    /// Leadership of the job's cache flight: `Some` when the cache is
+    /// enabled, so the worker publishes its outcome to any waiters.
+    guard: Option<FlightGuard>,
     timeout_ms: Option<u64>,
     enqueued: Instant,
     /// Rendezvous back to the connection thread. Capacity 1, so the
@@ -155,12 +169,20 @@ struct Ticket {
     resp: SyncSender<Vec<u8>>,
 }
 
+/// State every connection and worker thread shares.
+struct Shared {
+    queue: Bounded<Ticket>,
+    metrics: ServeMetrics,
+    /// `None` when `cache_bytes` is 0.
+    cache: Option<Arc<ResponseCache>>,
+    shutdown: AtomicBool,
+    default_timeout_ms: Option<u64>,
+}
+
 /// A running job server. Dropping it performs the graceful drain.
 pub struct Server {
     addr: SocketAddr,
-    queue: Arc<Bounded<Ticket>>,
-    shutdown: Arc<AtomicBool>,
-    metrics: Arc<ServeMetrics>,
+    shared: Arc<Shared>,
     acceptor: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
     config: ServerConfig,
@@ -190,38 +212,32 @@ impl Server {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
-        let queue = Arc::new(Bounded::new(config.queue_depth));
-        let shutdown = Arc::new(AtomicBool::new(false));
-        // Every instrument is pre-registered here, so the `stats`
-        // snapshot has the same structure on a fresh server as on a
-        // loaded one.
-        let metrics = Arc::new(ServeMetrics::new(config.workers.max(1), config.queue_depth));
-        let cache = (config.cache_bytes > 0).then(|| ResponseCache::new(config.cache_bytes));
+        let shared = Arc::new(Shared {
+            queue: Bounded::new(config.queue_depth),
+            // Every instrument is pre-registered here, so the `stats`
+            // snapshot has the same structure on a fresh server as on a
+            // loaded one.
+            metrics: ServeMetrics::new(config.workers.max(1), config.queue_depth),
+            cache: (config.cache_bytes > 0).then(|| ResponseCache::new(config.cache_bytes)),
+            shutdown: AtomicBool::new(false),
+            default_timeout_ms: config.default_timeout_ms,
+        });
 
         let workers = (0..config.workers.max(1))
             .map(|_| {
-                let queue = Arc::clone(&queue);
-                let metrics = Arc::clone(&metrics);
-                let cache = cache.clone();
-                std::thread::spawn(move || worker_loop(&queue, &metrics, cache.as_ref()))
+                let shared = Arc::clone(&shared);
+                std::thread::spawn(move || worker_loop(&shared.queue, &shared.metrics))
             })
             .collect();
 
         let acceptor = {
-            let queue = Arc::clone(&queue);
-            let shutdown = Arc::clone(&shutdown);
-            let metrics = Arc::clone(&metrics);
-            let default_timeout_ms = config.default_timeout_ms;
-            std::thread::spawn(move || {
-                accept_loop(&listener, &queue, &shutdown, &metrics, default_timeout_ms);
-            })
+            let shared = Arc::clone(&shared);
+            std::thread::spawn(move || accept_loop(&listener, &shared))
         };
 
         Ok(Self {
             addr,
-            queue,
-            shutdown,
-            metrics,
+            shared,
             acceptor: Some(acceptor),
             workers,
             config,
@@ -240,7 +256,7 @@ impl Server {
 
     /// A snapshot of the lifetime counters.
     pub fn stats(&self) -> ServerStats {
-        self.metrics.server_stats()
+        self.shared.metrics.server_stats()
     }
 
     /// Graceful drain: stop accepting, finish in-flight requests,
@@ -248,17 +264,17 @@ impl Server {
     /// counters.
     pub fn shutdown(mut self) -> ServerStats {
         self.drain();
-        self.metrics.server_stats()
+        self.shared.metrics.server_stats()
     }
 
     fn drain(&mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
+        self.shared.shutdown.store(true, Ordering::SeqCst);
         if let Some(acceptor) = self.acceptor.take() {
             let _ = acceptor.join();
         }
         // Only after every connection thread has stopped producing may
         // the queue close; workers then drain what was admitted.
-        self.queue.close();
+        self.shared.queue.close();
         for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
@@ -271,27 +287,17 @@ impl Drop for Server {
     }
 }
 
-fn accept_loop(
-    listener: &TcpListener,
-    queue: &Arc<Bounded<Ticket>>,
-    shutdown: &Arc<AtomicBool>,
-    metrics: &Arc<ServeMetrics>,
-    default_timeout_ms: Option<u64>,
-) {
+fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
     let mut connections: Vec<JoinHandle<()>> = Vec::new();
-    while !shutdown.load(Ordering::SeqCst) {
+    while !shared.shutdown.load(Ordering::SeqCst) {
         match listener.accept() {
             Ok((stream, _peer)) => {
                 // Responses are single small frames; Nagle + delayed
                 // ACK would add ~40 ms to every request.
                 let _ = stream.set_nodelay(true);
-                metrics.connections.incr();
-                let queue = Arc::clone(queue);
-                let shutdown = Arc::clone(shutdown);
-                let metrics = Arc::clone(metrics);
-                connections.push(std::thread::spawn(move || {
-                    connection_loop(stream, &queue, &shutdown, &metrics, default_timeout_ms);
-                }));
+                shared.metrics.connections.incr();
+                let shared = Arc::clone(shared);
+                connections.push(std::thread::spawn(move || connection_loop(stream, &shared)));
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                 std::thread::sleep(Duration::from_millis(5));
@@ -307,18 +313,13 @@ fn accept_loop(
     }
 }
 
-fn connection_loop(
-    mut stream: TcpStream,
-    queue: &Bounded<Ticket>,
-    shutdown: &AtomicBool,
-    metrics: &ServeMetrics,
-    default_timeout_ms: Option<u64>,
-) {
+fn connection_loop(mut stream: TcpStream, shared: &Shared) {
     if stream.set_read_timeout(Some(READ_POLL)).is_err() {
         return;
     }
+    let metrics = &shared.metrics;
     loop {
-        let body = match read_frame_interruptible(&mut stream, shutdown) {
+        let body = match read_frame_interruptible(&mut stream, &shared.shutdown) {
             Ok(Some(body)) => body,
             Ok(None) | Err(_) => return,
         };
@@ -327,16 +328,17 @@ fn connection_loop(
                 metrics.protocol_errors.incr();
                 resp
             }
-            Ok((id, envelope)) => match validate_request(&id, &envelope, default_timeout_ms) {
+            Ok((id, envelope)) => match validate_request(&id, &envelope, shared.default_timeout_ms)
+            {
                 Err(resp) => {
                     metrics.validation_errors.incr();
                     resp
                 }
                 // ping/stats skip admission: a full queue cannot starve them.
                 Ok((job, _, _)) if job.is_fast_path() => {
-                    fast_path_response(&id, &job, queue, metrics)
+                    fast_path_response(&id, &job, &shared.queue, metrics)
                 }
-                Ok((job, key, timeout_ms)) => dispatch(id, job, key, timeout_ms, queue, metrics),
+                Ok((job, key, timeout_ms)) => dispatch(id, job, key, timeout_ms, shared),
             },
         };
         if write_frame(&mut stream, &response).is_err() {
@@ -438,28 +440,55 @@ fn validate_request(
     Ok((job, key, timeout_ms))
 }
 
-/// Admits the job (or answers `busy`) and waits for the worker's
-/// response.
-fn dispatch(
-    id: Json,
-    job: Job,
-    key: u64,
-    timeout_ms: Option<u64>,
-    queue: &Bounded<Ticket>,
-    metrics: &ServeMetrics,
-) -> Vec<u8> {
+/// Classifies a queued-kind request against the response cache on its
+/// connection thread, then answers or admits it. A hit is answered
+/// here; a waiter blocks this thread (never a worker) on its leader's
+/// flight, under its own deadline; only a leader — or every job when
+/// the cache is disabled — takes a queue slot and waits for a worker.
+fn dispatch(id: Json, job: Job, key: u64, timeout_ms: Option<u64>, shared: &Shared) -> Vec<u8> {
+    let metrics = &shared.metrics;
+    let kind = job.kind();
+    let classified = Instant::now();
+    // The waiter's own deadline applies while its leader solves,
+    // mirroring the CancelToken a solving worker runs under.
+    let deadline = timeout_ms.map(|ms| classified + Duration::from_millis(ms));
+    let mut coalesced = false;
+    let guard = match &shared.cache {
+        None => None,
+        // Loops because a leader may fail — the first retrying waiter
+        // then becomes the new leader.
+        Some(cache) => loop {
+            let cached = match cache.begin(key) {
+                Lookup::Hit(suffix) => Some(suffix),
+                Lookup::Lead(guard) => break Some(guard),
+                Lookup::Wait(flight) => {
+                    if !coalesced {
+                        metrics.cache_coalesced.incr();
+                        coalesced = true;
+                    }
+                    match flight.wait(deadline) {
+                        WaitOutcome::Ready(suffix) => Some(suffix),
+                        WaitOutcome::TimedOut => None,
+                        WaitOutcome::LeaderFailed => continue,
+                    }
+                }
+            };
+            return answer_without_worker(&id, kind, cached, classified, metrics);
+        },
+    };
     let (resp_tx, resp_rx) = std::sync::mpsc::sync_channel(1);
     let ticket = Ticket {
         id: id.clone(),
         job,
-        key,
+        guard,
         timeout_ms,
         enqueued: Instant::now(),
         resp: resp_tx,
     };
-    match queue.try_push(ticket) {
+    match shared.queue.try_push(ticket) {
         Ok(depth) => {
             metrics.accepted.incr();
+            metrics.cache_miss.incr();
             metrics
                 .queue_depth
                 .set(i64::try_from(depth).unwrap_or(i64::MAX));
@@ -467,77 +496,77 @@ fn dispatch(
                 error_response(&id, "exec", "worker dropped the job (server shutting down)")
             })
         }
+        // Dropping the bounced ticket drops a leader's guard, which
+        // publishes failure: its waiters retry and one of them leads.
         Err(_rejected) => {
             metrics.rejected_busy.incr();
-            busy_response(&id, queue.depth(), queue.capacity())
+            busy_response(&id, shared.queue.depth(), shared.queue.capacity())
         }
     }
 }
 
-/// How one admitted ticket resolved against the response cache.
-enum CacheDecision {
-    /// Serve these bytes (already id-spliced); no solve happens.
-    Served(Vec<u8>),
-    /// The waiter's deadline expired before its leader finished.
-    WaitTimedOut,
-    /// Solve it ourselves. The guard is `Some` when this worker leads a
-    /// flight other workers may be waiting on, `None` when the cache is
-    /// disabled or the job is not cacheable.
-    Solve(Option<FlightGuard>),
-}
-
-/// Classifies one ticket against the cache: hit, coalesced wait, or
-/// leader/solo solve. Loops because a leader may fail — the first
-/// retrying waiter then becomes the new leader.
-fn resolve_cache(
-    cache: Option<&Arc<ResponseCache>>,
-    ticket: &Ticket,
+/// Answers an accepted request on its connection thread, without a
+/// queue slot or a worker: `Some` cached suffix is a hit; `None` is a
+/// waiter whose deadline expired before its leader finished, a miss.
+fn answer_without_worker(
+    id: &Json,
+    kind: &'static str,
+    cached: Option<Vec<u8>>,
+    classified: Instant,
     metrics: &ServeMetrics,
-) -> CacheDecision {
-    let Some(cache) = cache.filter(|_| ticket.job.is_cacheable()) else {
-        return CacheDecision::Solve(None);
+) -> Vec<u8> {
+    let mut span = carbon_trace::span!("serve.request");
+    metrics.accepted.incr();
+    let (status, response) = match cached {
+        Some(suffix) => {
+            metrics.cache_hit.incr();
+            metrics.completed.incr();
+            let response = splice_cached(id, &suffix);
+            metrics.cache_hit_latency.record(nanos_since(classified));
+            ("ok", response)
+        }
+        None => {
+            metrics.cache_miss.incr();
+            metrics.timed_out.incr();
+            let response = timeout_response(
+                id,
+                kind,
+                "deadline expired while coalesced onto an identical in-flight job",
+            );
+            if let Some(hist) = metrics.latency(kind) {
+                hist.record(nanos_since(classified));
+            }
+            ("timeout", response)
+        }
     };
-    let mut counted_coalesced = false;
-    loop {
-        match cache.begin(ticket.key) {
-            Lookup::Hit(suffix) => {
-                return CacheDecision::Served(splice_cached(&ticket.id, &suffix))
-            }
-            Lookup::Lead(guard) => return CacheDecision::Solve(Some(guard)),
-            Lookup::Wait(flight) => {
-                if !counted_coalesced {
-                    metrics.cache_coalesced.incr();
-                    counted_coalesced = true;
-                }
-                // The waiter's own deadline still applies while the
-                // leader solves, mirroring the CancelToken a solving
-                // worker would run under.
-                let deadline = ticket
-                    .timeout_ms
-                    .map(|ms| Instant::now() + Duration::from_millis(ms));
-                match flight.wait(deadline) {
-                    WaitOutcome::Ready(suffix) => {
-                        return CacheDecision::Served(splice_cached(&ticket.id, &suffix))
-                    }
-                    WaitOutcome::TimedOut => return CacheDecision::WaitTimedOut,
-                    WaitOutcome::LeaderFailed => {} // retry: maybe lead now
-                }
-            }
+    if span.is_live() {
+        span.record("kind", kind);
+        span.record("status", status);
+        if status == "ok" {
+            span.record("cache", "hit");
         }
+        span.record("resp_bytes", response.len());
     }
+    response
 }
 
-fn worker_loop(
-    queue: &Bounded<Ticket>,
-    metrics: &ServeMetrics,
-    cache: Option<&Arc<ResponseCache>>,
-) {
+/// Pops, solves, and publishes: every ticket a worker sees is a cache
+/// miss, classified on its connection thread.
+fn worker_loop(queue: &Bounded<Ticket>, metrics: &ServeMetrics) {
     while let Some(ticket) = queue.pop() {
+        let Ticket {
+            id,
+            job,
+            mut guard,
+            timeout_ms,
+            enqueued,
+            resp,
+        } = ticket;
         metrics
             .queue_depth
             .set(i64::try_from(queue.depth()).unwrap_or(i64::MAX));
-        let queue_ns = u64::try_from(ticket.enqueued.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        let kind = ticket.job.kind();
+        let queue_ns = nanos_since(enqueued);
+        let kind = job.kind();
         if let Some(hist) = metrics.queue_wait(kind) {
             hist.record(queue_ns);
         }
@@ -546,71 +575,23 @@ fn worker_loop(
             span.record("kind", kind);
             span.record("queue_ns", queue_ns);
         }
-        // Every admitted ticket is classified exactly once as a cache
-        // hit (served from stored bytes or a coalesced flight) or a
-        // miss (this worker produces the response itself, including
-        // the waiter-deadline edge) — so hit + miss == accepted.
-        let mut guard = match resolve_cache(cache, &ticket, metrics) {
-            CacheDecision::Served(response) => {
-                metrics.cache_hit.incr();
-                metrics.completed.incr();
-                metrics.cache_hit_latency.record(
-                    u64::try_from(ticket.enqueued.elapsed().as_nanos()).unwrap_or(u64::MAX),
-                );
-                if span.is_live() {
-                    span.record("status", "ok");
-                    span.record("cache", "hit");
-                    span.record("resp_bytes", response.len());
-                }
-                drop(span);
-                let _ = ticket.resp.send(response);
-                continue;
-            }
-            CacheDecision::WaitTimedOut => {
-                metrics.cache_miss.incr();
-                metrics.timed_out.incr();
-                let response = timeout_response(
-                    &ticket.id,
-                    kind,
-                    "deadline expired while coalesced onto an identical in-flight job",
-                );
-                if let Some(hist) = metrics.latency(kind) {
-                    hist.record(
-                        u64::try_from(ticket.enqueued.elapsed().as_nanos()).unwrap_or(u64::MAX),
-                    );
-                }
-                if span.is_live() {
-                    span.record("status", "timeout");
-                    span.record("resp_bytes", response.len());
-                }
-                drop(span);
-                let _ = ticket.resp.send(response);
-                continue;
-            }
-            CacheDecision::Solve(guard) => {
-                metrics.cache_miss.incr();
-                guard
-            }
-        };
-        let token = match ticket.timeout_ms {
+        let token = match timeout_ms {
             Some(ms) => CancelToken::with_timeout(Duration::from_millis(ms)),
             None => CancelToken::new(),
         };
         let exec_started = Instant::now();
-        let outcome = carbon_runtime::cancel::scope(&token, || ticket.job.run());
-        metrics
-            .worker_busy_ns
-            .add(u64::try_from(exec_started.elapsed().as_nanos()).unwrap_or(u64::MAX));
+        let outcome = carbon_runtime::cancel::scope(&token, || job.run());
+        metrics.worker_busy_ns.add(nanos_since(exec_started));
         let (status, response) = match outcome {
             Ok(result) => {
                 metrics.completed.incr();
-                let response = ok_response(&ticket.id, kind, &result);
+                let response = ok_response(&id, kind, &result);
                 // Only `ok` responses enter the cache: the stored value
                 // is everything after the `{"id":<id>` prefix, so a
                 // later hit splices its own id in front and is
                 // byte-identical to this solve by construction.
                 if let Some(guard) = guard.take() {
-                    let prefix_len = 6 + ticket.id.render().len();
+                    let prefix_len = 6 + id.render().len();
                     let insert = guard.complete_ok(response[prefix_len..].to_vec());
                     if insert.inserted {
                         metrics.cache_insert.incr();
@@ -618,26 +599,24 @@ fn worker_loop(
                     if insert.evicted_bytes > 0 {
                         metrics.cache_evict_bytes.add(insert.evicted_bytes);
                     }
-                    if let Some(cache) = cache {
-                        metrics
-                            .cache_bytes
-                            .set(i64::try_from(cache.bytes()).unwrap_or(i64::MAX));
-                    }
+                    metrics
+                        .cache_bytes
+                        .set(i64::try_from(insert.resident_bytes).unwrap_or(i64::MAX));
                 }
                 ("ok", response)
             }
             Err(JobError::Cancelled { message }) => {
                 metrics.timed_out.incr();
-                ("timeout", timeout_response(&ticket.id, kind, &message))
+                ("timeout", timeout_response(&id, kind, &message))
             }
             Err(e) => {
                 metrics.errored.incr();
-                ("error", error_response(&ticket.id, "exec", &e.to_string()))
+                ("error", error_response(&id, "exec", &e.to_string()))
             }
         };
         // A failed leader (timeout/error) publishes failure so waiters
         // retry; nothing is cached.
-        if let Some(guard) = guard.take() {
+        if let Some(guard) = guard {
             guard.fail();
         }
         // End-to-end latency: admission to response, queue wait
@@ -645,7 +624,7 @@ fn worker_loop(
         // hits go to `serve.cache.hit_latency_ns` so cached repeats
         // cannot skew the solve-latency baselines.
         if let Some(hist) = metrics.latency(kind) {
-            hist.record(u64::try_from(ticket.enqueued.elapsed().as_nanos()).unwrap_or(u64::MAX));
+            hist.record(nanos_since(enqueued));
         }
         if span.is_live() {
             span.record("status", status);
@@ -654,8 +633,13 @@ fn worker_loop(
         drop(span);
         // The connection may have vanished; the response is then simply
         // dropped (capacity-1 channel: never blocks).
-        let _ = ticket.resp.send(response);
+        let _ = resp.send(response);
     }
+}
+
+/// Nanoseconds since `start`, saturating.
+fn nanos_since(start: Instant) -> u64 {
+    u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
 /// Reassembles a full response from a cached suffix: `{"id":` + the

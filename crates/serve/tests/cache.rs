@@ -117,6 +117,23 @@ fn identical_submissions_coalesce_to_one_dc_solve() {
     assert!(std::str::from_utf8(&responses[0])
         .unwrap()
         .contains("\"status\":\"ok\""));
+    // Hits and coalesced waiters are answered on their connection
+    // threads: only the leader ever took a queue slot and a worker.
+    let snapshot = Client::connect(addr)
+        .expect("connect")
+        .call(
+            &Json::obj()
+                .push("id", "stats")
+                .push("job", Json::obj().push("kind", "stats")),
+        )
+        .expect("stats response");
+    let dequeued = snapshot
+        .get("result")
+        .and_then(|r| r.get("histograms"))
+        .and_then(|h| h.get("serve.queue_wait_ns.op"))
+        .and_then(|h| h.get("count"))
+        .and_then(Json::as_u64);
+    assert_eq!(dequeued, Some(1), "only the leader was dequeued");
     let stats = server.shutdown();
     assert_eq!(stats.accepted, n as u64);
     assert_eq!(stats.completed, n as u64);

@@ -23,6 +23,86 @@ fn nodes(names: &[&str]) -> Json {
     Json::Arr(names.iter().map(|n| Json::Str((*n).to_owned())).collect())
 }
 
+fn status(response: &Json) -> String {
+    response
+        .get("status")
+        .and_then(Json::as_str)
+        .unwrap()
+        .to_owned()
+}
+
+/// A ~200 000-step transient: slow enough to hold a worker while a test
+/// saturates the queue. Each `variant` gets its own `R1`, hence its own
+/// cache key, so every slow request needs a queue slot of its own
+/// (identical decks would coalesce onto one solve instead).
+fn slow_transient(variant: usize) -> Json {
+    let deck = format!(
+        "* rc low-pass\nV1 in 0 1\nR1 in out {}\nC1 out 0 1u\n.end\n",
+        1000 + variant
+    );
+    Json::obj().push("id", "slow").push(
+        "job",
+        Json::obj()
+            .push("kind", "transient")
+            .push("deck", deck)
+            .push("tstep", 1e-8)
+            .push("tstop", 2e-3)
+            .push("nodes", nodes(&["out"])),
+    )
+}
+
+fn op_request(id: &str) -> Json {
+    Json::obj().push("id", id).push(
+        "job",
+        Json::obj()
+            .push("kind", "op")
+            .push("deck", RC_DECK)
+            .push("nodes", nodes(&["out"])),
+    )
+}
+
+fn fetch_stats(client: &mut Client) -> Json {
+    let resp = client
+        .call(
+            &Json::obj()
+                .push("id", "probe")
+                .push("job", Json::obj().push("kind", "stats")),
+        )
+        .unwrap();
+    assert_eq!(resp.get("status").and_then(Json::as_str), Some("ok"));
+    resp.get("result").cloned().unwrap()
+}
+
+/// Polls the fast path until the server reaches the given
+/// (accepted, completed, queue_depth) state.
+fn wait_for(probe: &mut Client, accepted: u64, completed: u64, depth: u64, what: &str) {
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    loop {
+        let snap = fetch_stats(probe);
+        let counter = |name: &str| {
+            snap.get("counters")
+                .unwrap()
+                .get(name)
+                .and_then(Json::as_u64)
+                .unwrap()
+        };
+        let gauge_depth = snap
+            .get("gauges")
+            .unwrap()
+            .get("serve.queue_depth")
+            .and_then(Json::as_u64)
+            .unwrap();
+        if counter("serve.accepted") == accepted
+            && counter("serve.completed") == completed
+            && gauge_depth == depth
+        {
+            break;
+        }
+        assert!(std::time::Instant::now() < deadline, "timed out: {what}");
+        std::thread::yield_now();
+    }
+}
+
 #[test]
 fn round_trips_every_job_kind() {
     let server = start(2, 16);
@@ -226,31 +306,15 @@ fn full_queue_answers_busy_without_blocking() {
     // bounced with `busy`.
     let server = start(1, 1);
     let addr = server.local_addr();
-    let slow_request = Json::obj()
-        .push("id", "slow")
-        .push(
-            "job",
-            Json::obj()
-                .push("kind", "transient")
-                .push("deck", RC_DECK)
-                .push("tstep", 1e-8)
-                .push("tstop", 2e-3)
-                .push("nodes", nodes(&["out"])),
-        )
-        .render();
     let statuses: Vec<String> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..6)
-            .map(|_| {
-                let body = slow_request.clone();
+            .map(|variant| {
                 scope.spawn(move || {
                     let mut client = Client::connect(addr).unwrap();
                     let resp = client
-                        .call(&Json::parse(&body).unwrap())
+                        .call(&slow_transient(variant))
                         .expect("every request gets a response");
-                    resp.get("status")
-                        .and_then(Json::as_str)
-                        .unwrap()
-                        .to_owned()
+                    status(&resp)
                 })
             })
             .collect();
@@ -380,93 +444,32 @@ fn fast_path_answers_while_the_queue_is_full() {
     // observable.
     let server = start(1, 1);
     let addr = server.local_addr();
-    let slow_request = Json::obj()
-        .push("id", "slow")
-        .push(
-            "job",
-            Json::obj()
-                .push("kind", "transient")
-                .push("deck", RC_DECK)
-                .push("tstep", 1e-8)
-                .push("tstop", 2e-3)
-                .push("nodes", nodes(&["out"])),
-        )
-        .render();
     std::thread::scope(|scope| {
-        let spawn_slow = |body: String| {
+        let spawn_slow = |variant: usize| {
             scope.spawn(move || {
                 let mut client = Client::connect(addr).unwrap();
-                let resp = client.call(&Json::parse(&body).unwrap()).unwrap();
-                resp.get("status")
-                    .and_then(Json::as_str)
-                    .unwrap()
-                    .to_owned()
+                status(&client.call(&slow_transient(variant)).unwrap())
             })
         };
 
         let mut probe = Client::connect(addr).unwrap();
-        let fetch_stats = |client: &mut Client| {
-            let resp = client
-                .call(
-                    &Json::obj()
-                        .push("id", "probe")
-                        .push("job", Json::obj().push("kind", "stats")),
-                )
-                .unwrap();
-            assert_eq!(resp.get("status").and_then(Json::as_str), Some("ok"));
-            resp.get("result").cloned().unwrap()
-        };
-        // Polls the fast path until the server reaches the given
-        // (accepted, completed, queue_depth) state.
-        let mut wait_for = |accepted: u64, depth: u64, what: &str| {
-            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-            loop {
-                let snap = fetch_stats(&mut probe);
-                let counter = |name: &str| {
-                    snap.get("counters")
-                        .unwrap()
-                        .get(name)
-                        .and_then(Json::as_u64)
-                        .unwrap()
-                };
-                let gauge_depth = snap
-                    .get("gauges")
-                    .unwrap()
-                    .get("serve.queue_depth")
-                    .and_then(Json::as_u64)
-                    .unwrap();
-                if counter("serve.accepted") == accepted
-                    && counter("serve.completed") == 0
-                    && gauge_depth == depth
-                {
-                    break;
-                }
-                assert!(std::time::Instant::now() < deadline, "timed out: {what}");
-                std::thread::yield_now();
-            }
-        };
-
         // Admit the slow jobs one at a time so neither is bounced:
         // the first must be on the worker (queue empty again) before
         // the second is sent to fill the queue.
-        let first = spawn_slow(slow_request.clone());
-        wait_for(1, 0, "first slow job picked up by the worker");
-        let second = spawn_slow(slow_request.clone());
-        wait_for(2, 1, "second slow job waiting in the queue");
+        let first = spawn_slow(0);
+        wait_for(
+            &mut probe,
+            1,
+            0,
+            0,
+            "first slow job picked up by the worker",
+        );
+        let second = spawn_slow(1);
+        wait_for(&mut probe, 2, 0, 1, "second slow job waiting in the queue");
         let slow_handles = [first, second];
 
         // A queued kind is bounced...
-        let busy = probe
-            .call(
-                &Json::obj().push("id", "bounced").push(
-                    "job",
-                    Json::obj()
-                        .push("kind", "op")
-                        .push("deck", RC_DECK)
-                        .push("nodes", nodes(&["out"])),
-                ),
-            )
-            .unwrap();
+        let busy = probe.call(&op_request("bounced")).unwrap();
         assert_eq!(busy.get("status").and_then(Json::as_str), Some("busy"));
 
         // ...but the fast path still answers.
@@ -503,6 +506,60 @@ fn fast_path_answers_while_the_queue_is_full() {
     assert_eq!(stats.accepted, 2);
     assert_eq!(stats.completed, 2);
     assert_eq!(stats.rejected_busy, 1);
+}
+
+#[test]
+fn cached_deck_answers_ok_while_saturated() {
+    // One worker, depth 1: an `op` deck is solved and cached, then two
+    // distinct slow decks fill the worker and the queue. A cache hit is
+    // answered on its connection thread without a queue slot, so the
+    // cached deck re-sent under a fresh id answers `ok`, not `busy`.
+    let server = start(1, 1);
+    let addr = server.local_addr();
+    let mut probe = Client::connect(addr).unwrap();
+    let solved = probe.call(&op_request("solved")).unwrap();
+    assert_eq!(status(&solved), "ok");
+    std::thread::scope(|scope| {
+        let spawn_slow = |variant: usize| {
+            scope.spawn(move || {
+                let mut client = Client::connect(addr).unwrap();
+                status(&client.call(&slow_transient(variant)).unwrap())
+            })
+        };
+        let first = spawn_slow(0);
+        wait_for(
+            &mut probe,
+            2,
+            1,
+            0,
+            "first slow job picked up by the worker",
+        );
+        let second = spawn_slow(1);
+        wait_for(&mut probe, 3, 1, 1, "second slow job waiting in the queue");
+
+        let cached = probe.call(&op_request("cached")).unwrap();
+        assert_eq!(status(&cached), "ok", "{}", cached.render());
+        assert_eq!(cached.get("id").and_then(Json::as_str), Some("cached"));
+        assert_eq!(cached.get("result"), solved.get("result"));
+        let snap = fetch_stats(&mut probe);
+        assert_eq!(
+            snap.get("gauges")
+                .unwrap()
+                .get("serve.queue_depth")
+                .and_then(Json::as_u64),
+            Some(1),
+            "the server was still saturated"
+        );
+
+        for h in [first, second] {
+            assert_eq!(h.join().unwrap(), "ok");
+        }
+    });
+    let stats = server.shutdown();
+    assert_eq!(stats.accepted, 4);
+    assert_eq!(stats.rejected_busy, 0);
+    assert_eq!(stats.cache_hits, 1);
+    assert_eq!(stats.cache_misses, 3);
 }
 
 #[test]

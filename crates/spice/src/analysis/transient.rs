@@ -32,7 +32,7 @@
 //! expires mid-horizon stops at the next step boundary with a clean
 //! [`SpiceError::Cancelled`].
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use super::{newton_solve, CapCompanion, IndCompanion, MnaWorkspace, NameTable, NewtonOptions};
 use crate::element::ElementKind;
@@ -120,6 +120,8 @@ pub struct TranResult {
     names: Arc<NameTable>,
     /// One voltage trace per node, aligned with `names.node_names`.
     traces: Vec<Vec<f64>>,
+    /// The ground trace (all zeros), built on the first ground probe.
+    ground: OnceLock<Vec<f64>>,
     accepted: usize,
     rejected: usize,
 }
@@ -146,13 +148,17 @@ impl TranResult {
         self.rejected
     }
 
-    /// Voltage trace of a node over time.
+    /// Voltage trace of a node over time; ground (`"0"`/`"gnd"`) is an
+    /// all-zero trace.
     ///
     /// # Errors
     ///
     /// Returns [`SpiceError::UnknownNode`] for unknown names.
     pub fn voltages(&self, node: &str) -> Result<&[f64], SpiceError> {
         let lower = node.to_ascii_lowercase();
+        if lower == "0" || lower == "gnd" {
+            return Ok(self.ground.get_or_init(|| vec![0.0; self.times.len()]));
+        }
         self.names
             .node_names
             .iter()
@@ -437,6 +443,7 @@ impl Circuit {
             times,
             names: ws.names.clone(),
             traces,
+            ground: OnceLock::new(),
             accepted,
             rejected,
         })
@@ -848,5 +855,21 @@ mod tests {
         assert!((tran.sample_at("mid", -1.0).unwrap() - 0.5).abs() < 1e-9);
         assert!((tran.sample_at("mid", 2.0).unwrap() - 0.5).abs() < 1e-9);
         assert!(tran.sample_at("ghost", 0.0).is_err());
+    }
+
+    #[test]
+    fn ground_probe_is_an_all_zero_trace() {
+        let mut ckt = Circuit::new();
+        ckt.voltage_source("v", "in", "0", 1.0);
+        ckt.resistor("r1", "in", "0", 1e3).unwrap();
+        for method in [TranOptions::default(), TranOptions::adaptive()] {
+            let tran = ckt.transient_with(1e-7, 1e-6, method).unwrap();
+            for ground in ["0", "gnd", "GND"] {
+                let trace = tran.voltages(ground).unwrap();
+                assert_eq!(trace.len(), tran.times().len());
+                assert!(trace.iter().all(|v| *v == 0.0));
+                assert_eq!(tran.sample_at(ground, 5e-7).unwrap(), 0.0);
+            }
+        }
     }
 }
