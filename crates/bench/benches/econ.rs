@@ -3,13 +3,10 @@
 //!
 //! `campaign_fixed/512x256` is the headline — the CI determinism grid
 //! (2 nodes × 4 areas × 4 defect densities × 16 purities) at 256
-//! devices per cell. `campaign_adaptive/512` runs the same grid in
-//! CI-targeted mode, where high-purity cells converge in one batch and
-//! cliff-edge cells grow toward the cap — the adaptive win shows up as
-//! this row beating a fixed run at the cap. `point_fixed/4096` is the
-//! single-cell serve path (`econ_point`) at its default sample depth.
+//! devices per cell. `point_fixed/4096` is the single-cell serve path
+//! (`econ_point`) at its default sample depth.
 
-use carbon_econ::{CampaignGrid, EconConfig, McMode, NodeSpec, YieldModel};
+use carbon_econ::{CampaignGrid, EconConfig, NodeSpec, YieldModel};
 use carbon_runtime::bench::{black_box, Harness};
 use carbon_runtime::Executor;
 
@@ -29,10 +26,10 @@ fn grid() -> CampaignGrid {
     .expect("literal axes are valid")
 }
 
-fn config(mc: McMode) -> EconConfig {
+fn config(devices: u64) -> EconConfig {
     EconConfig {
         yield_model: YieldModel::negative_binomial(2.0).expect("positive alpha"),
-        mc,
+        devices,
         seed: 2014,
         ..EconConfig::default()
     }
@@ -43,17 +40,9 @@ fn main() {
     let ex = Executor::new();
     let grid = grid();
 
-    let fixed = config(McMode::Fixed { devices: 256 });
+    let fixed = config(256);
     h.bench("campaign_fixed/512x256", || {
         black_box(carbon_econ::evaluate(&ex, &grid, &fixed).expect("valid campaign"));
-    });
-
-    let adaptive = config(McMode::Adaptive {
-        target_ci: 0.02,
-        max_devices: 8192,
-    });
-    h.bench("campaign_adaptive/512", || {
-        black_box(carbon_econ::evaluate(&ex, &grid, &adaptive).expect("valid campaign"));
     });
 
     let point = CampaignGrid::point(
@@ -63,7 +52,7 @@ fn main() {
         0.999,
     )
     .expect("literal cell is valid");
-    let point_config = config(McMode::Fixed { devices: 4096 });
+    let point_config = config(4096);
     h.bench("point_fixed/4096", || {
         black_box(carbon_econ::evaluate(&ex, &point, &point_config).expect("valid point"));
     });

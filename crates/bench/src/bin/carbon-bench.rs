@@ -24,10 +24,10 @@
 //! `batch` evaluates every device model through both the scalar entry
 //! point and the structure-of-arrays batch kernel over fixed lanes,
 //! asserts the outputs are bit-identical, and prints one digest row per
-//! model plus one row for the adaptive §V Monte-Carlo campaign. The
-//! output is a pure function of the models, so `ci.sh` diffs it across
-//! `CARBON_THREADS` — the batch layer's and the adaptive campaign's
-//! determinism smoke test.
+//! model plus one population-digest row for a fixed 4096-device §V
+//! Monte-Carlo campaign. The output is a pure function of the models,
+//! so `ci.sh` diffs it across `CARBON_THREADS` — the batch layer's and
+//! the chunked `par_mc` schedule's determinism smoke test.
 //!
 //! `fig2` runs the Fig. 2 experiment and prints its report — a small,
 //! deterministic traced-run target for the CI trace smoke test.
@@ -50,10 +50,10 @@
 //!
 //! `econ` runs the §V wafer-economics campaign twice: once in-process
 //! through the chunked executor — a 512-cell node × area × defect ×
-//! purity grid in fixed mode plus the same grid in adaptive
-//! (CI-targeted) mode, each folded to an FNV-1a 64 digest over every
-//! cell's exact bit patterns, so `ci.sh` can diff the rows across
-//! `CARBON_THREADS` — and once over a loopback carbon-serve server,
+//! purity grid at 256 devices per cell, folded to an FNV-1a 64 digest
+//! over every cell's exact bit patterns, so `ci.sh` can pin the row and
+//! diff it across `CARBON_THREADS` — and once over a loopback
+//! carbon-serve server,
 //! submitting an identical `econ_campaign` body on two passes and
 //! printing the second pass's cache hit rate in per-mille (1000 on a
 //! healthy server: a repeated campaign is served entirely from the
@@ -302,29 +302,23 @@ fn run_batch() -> ExitCode {
         digest.finish()
     );
 
-    // The adaptive campaign: devices, rounds, and CI must be identical
-    // at every `CARBON_THREADS`.
-    let campaign = carbon_fab::VariabilityModel::park_experiment().sample_population_adaptive(
+    // A fixed campaign on the chunked `par_mc` schedule: every
+    // device's draws must be identical at every `CARBON_THREADS`.
+    let population = carbon_fab::VariabilityModel::park_experiment().sample_population_with(
         &carbon_runtime::Executor::new(),
         2014,
-        // Tight enough to need several growth rounds, so the chunk
-        // extension path is actually exercised.
-        0.01,
-        100_000,
+        4096,
     );
     let mut digest = carbon_bench::Fnv::new();
-    for vt in campaign.population.thresholds() {
+    for vt in population.thresholds() {
         digest.write_f64(vt);
     }
-    for ion in campaign.population.on_currents() {
+    for ion in population.on_currents() {
         digest.write_f64(ion);
     }
     println!(
-        "batch adaptive devices={} rounds={} converged={} ci_half_width={} digest={:016x}",
-        campaign.population.len(),
-        campaign.rounds,
-        campaign.converged,
-        campaign.ci_half_width,
+        "batch population devices={} digest={:016x}",
+        population.len(),
         digest.finish()
     );
     ExitCode::SUCCESS
@@ -464,12 +458,12 @@ fn econ_digest(points: &[carbon_econ::EconPoint]) -> u64 {
     h.finish()
 }
 
-/// Evaluates the CI grid under one Monte-Carlo mode and prints its
-/// digest row.
-fn econ_row(label: &str, mc: carbon_econ::McMode) -> Result<(), String> {
+/// Evaluates the CI grid at 256 devices per cell and prints its digest
+/// row.
+fn econ_row() -> Result<(), String> {
     let config = carbon_econ::EconConfig {
         yield_model: carbon_econ::YieldModel::negative_binomial(2.0).expect("positive alpha"),
-        mc,
+        devices: 256,
         seed: 2014,
         ..carbon_econ::EconConfig::default()
     };
@@ -481,7 +475,7 @@ fn econ_row(label: &str, mc: carbon_econ::McMode) -> Result<(), String> {
         .best_index
         .map_or_else(|| "none".to_owned(), |i| i.to_string());
     println!(
-        "econ mode={label} cells={} viable={} devices_sampled={} best_index={best} digest={:016x}",
+        "econ mode=fixed cells={} viable={} devices_sampled={} best_index={best} digest={:016x}",
         summary.cells,
         summary.viable_cells,
         summary.devices_sampled,
@@ -549,21 +543,9 @@ fn econ_cache_smoke() -> Result<u64, String> {
 }
 
 fn run_econ() -> ExitCode {
-    let rows = [
-        ("fixed", carbon_econ::McMode::Fixed { devices: 256 }),
-        (
-            "adaptive",
-            carbon_econ::McMode::Adaptive {
-                target_ci: 0.02,
-                max_devices: 8192,
-            },
-        ),
-    ];
-    for (label, mc) in rows {
-        if let Err(e) = econ_row(label, mc) {
-            eprintln!("carbon-bench: econ: {e}");
-            return ExitCode::FAILURE;
-        }
+    if let Err(e) = econ_row() {
+        eprintln!("carbon-bench: econ: {e}");
+        return ExitCode::FAILURE;
     }
     match econ_cache_smoke() {
         Ok(rate) => {

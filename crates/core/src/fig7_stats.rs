@@ -51,50 +51,8 @@ pub const CAMPAIGN_SEED: u64 = 2014;
 /// `Result` keeps the interface uniform with the other experiments.
 pub fn run() -> Result<Fig7Stats, CoreError> {
     let mut campaign_span = carbon_trace::span!("core.fig7_campaign");
-    let model = VariabilityModel::park_experiment();
-    let population = model.sample_population_par(CAMPAIGN_SEED, CAMPAIGN_SIZE);
-    let stats = stats_from(population);
-    if campaign_span.is_live() {
-        campaign_span.record("devices", CAMPAIGN_SIZE);
-        campaign_span.record("seed", CAMPAIGN_SEED);
-        campaign_span.record("functional_yield", stats.fractions[0]);
-        campaign_span.record("vt_sigma", stats.vt_stats.1);
-    }
-    Ok(stats)
-}
-
-/// Default device cap for the adaptive campaign (10× the fixed size).
-pub const ADAPTIVE_MAX_DEFAULT: usize = 100_000;
-
-/// The §V campaign with adaptive sizing: growing in
-/// [`carbon_runtime::MC_CHUNK`] rounds until the 95 % CI half-width on
-/// the functional yield drops below `target_ci` or `max_devices` is
-/// reached. Same seed and per-chunk RNG streams as [`run`], so a
-/// campaign that stops at 10,000 devices is byte-identical to the fixed
-/// one — and any stop size is byte-identical across `CARBON_THREADS`.
-///
-/// # Errors
-///
-/// Deterministic; `Result` kept uniform with the other experiments.
-pub fn run_adaptive(target_ci: f64, max_devices: usize) -> Result<Fig7Adaptive, CoreError> {
-    let model = VariabilityModel::park_experiment();
-    let campaign = model.sample_population_adaptive(
-        &carbon_runtime::Executor::new(),
-        CAMPAIGN_SEED,
-        target_ci,
-        max_devices,
-    );
-    Ok(Fig7Adaptive {
-        stats: stats_from(campaign.population),
-        rounds: campaign.rounds,
-        ci_half_width: campaign.ci_half_width,
-        converged: campaign.converged,
-    })
-}
-
-/// Summary statistics and the sorting table for a measured population —
-/// shared by the fixed-size and adaptive campaigns.
-fn stats_from(population: DevicePopulation) -> Fig7Stats {
+    let population =
+        VariabilityModel::park_experiment().sample_population_par(CAMPAIGN_SEED, CAMPAIGN_SIZE);
     let fractions = [
         population.functional_yield(),
         population.short_fraction(),
@@ -122,27 +80,19 @@ fn stats_from(population: DevicePopulation) -> Fig7Stats {
         (p.name().to_owned(), passes, yield_)
     })
     .collect();
-    Fig7Stats {
+    if campaign_span.is_live() {
+        campaign_span.record("devices", CAMPAIGN_SIZE);
+        campaign_span.record("seed", CAMPAIGN_SEED);
+        campaign_span.record("functional_yield", fractions[0]);
+        campaign_span.record("vt_sigma", vt_stats.1);
+    }
+    Ok(Fig7Stats {
         population,
         fractions,
         vt_stats,
         ion_percentiles,
         sorting,
-    }
-}
-
-/// Results of the adaptive §V campaign ([`run_adaptive`]).
-#[derive(Debug, Clone)]
-pub struct Fig7Adaptive {
-    /// The same statistics as the fixed campaign, over the devices
-    /// actually measured.
-    pub stats: Fig7Stats,
-    /// Chunk rounds run.
-    pub rounds: usize,
-    /// Final 95 % CI half-width on the functional yield.
-    pub ci_half_width: f64,
-    /// `true` if the target was met before `max_devices`.
-    pub converged: bool,
+    })
 }
 
 impl std::fmt::Display for Fig7Stats {
@@ -246,33 +196,6 @@ mod tests {
         for threads in [2, 4, 8] {
             assert_eq!(sample(threads), single, "divergence at {threads} threads");
         }
-    }
-
-    #[test]
-    fn adaptive_campaign_converges_on_whole_chunks() {
-        let fig = run_adaptive(0.02, ADAPTIVE_MAX_DEFAULT).unwrap();
-        assert!(fig.converged);
-        assert!(fig.ci_half_width <= 0.02);
-        let n = fig.stats.population.len();
-        assert_eq!(n, fig.rounds * carbon_runtime::MC_CHUNK);
-        assert!(n <= ADAPTIVE_MAX_DEFAULT);
-        // Same seed, same streams: the adaptive population is a prefix
-        // (or extension) of the fixed campaign's device sequence.
-        let fixed = run().unwrap();
-        let m = n.min(fixed.population.len());
-        assert_eq!(
-            fig.stats.population.outcomes()[..m],
-            fixed.population.outcomes()[..m]
-        );
-    }
-
-    #[test]
-    fn adaptive_campaign_is_deterministic() {
-        let a = run_adaptive(0.03, ADAPTIVE_MAX_DEFAULT).unwrap();
-        let b = run_adaptive(0.03, ADAPTIVE_MAX_DEFAULT).unwrap();
-        assert_eq!(a.stats.population.outcomes(), b.stats.population.outcomes());
-        assert_eq!(a.rounds, b.rounds);
-        assert_eq!(a.ci_half_width, b.ci_half_width);
     }
 
     #[test]

@@ -82,45 +82,18 @@ pub fn fig7_report() -> Result<JobReport, CoreError> {
     let r = fig7_stats::run()?;
     Ok(JobReport {
         name: "fig7",
-        scalars: fig7_scalars(&r),
+        scalars: vec![
+            ("functional_yield", r.fractions[0]),
+            ("short_fraction", r.fractions[1]),
+            ("empty_fraction", r.fractions[2]),
+            ("vt_mean_v", r.vt_stats.0),
+            ("vt_sigma_v", r.vt_stats.1),
+            ("ion_p5_ua", r.ion_percentiles[0]),
+            ("ion_p50_ua", r.ion_percentiles[1]),
+            ("ion_p95_ua", r.ion_percentiles[2]),
+            ("sorting_processes", r.sorting.len() as f64),
+        ],
     })
-}
-
-/// Runs the adaptive §V campaign and flattens it. The base scalars keep
-/// the exact names and order of [`fig7_report`] (computed over the
-/// devices actually measured); the campaign-sizing scalars are appended
-/// after them.
-///
-/// # Errors
-///
-/// Mirrors [`fig7_stats::run_adaptive`].
-pub fn fig7_report_adaptive(target_ci: f64, max_devices: usize) -> Result<JobReport, CoreError> {
-    let r = fig7_stats::run_adaptive(target_ci, max_devices)?;
-    let mut scalars = fig7_scalars(&r.stats);
-    scalars.push(("devices", r.stats.population.len() as f64));
-    scalars.push(("rounds", r.rounds as f64));
-    scalars.push(("ci_half_width", r.ci_half_width));
-    scalars.push(("converged", if r.converged { 1.0 } else { 0.0 }));
-    Ok(JobReport {
-        name: "fig7",
-        scalars,
-    })
-}
-
-/// The fig7 scalar list — single source of the name order shared by the
-/// fixed and adaptive reports.
-fn fig7_scalars(r: &fig7_stats::Fig7Stats) -> Vec<(&'static str, f64)> {
-    vec![
-        ("functional_yield", r.fractions[0]),
-        ("short_fraction", r.fractions[1]),
-        ("empty_fraction", r.fractions[2]),
-        ("vt_mean_v", r.vt_stats.0),
-        ("vt_sigma_v", r.vt_stats.1),
-        ("ion_p5_ua", r.ion_percentiles[0]),
-        ("ion_p50_ua", r.ion_percentiles[1]),
-        ("ion_p95_ua", r.ion_percentiles[2]),
-        ("sorting_processes", r.sorting.len() as f64),
-    ]
 }
 
 #[cfg(test)]
@@ -140,20 +113,6 @@ mod tests {
             "all report scalars must be finite: {:?}",
             a.scalars
         );
-    }
-
-    #[test]
-    fn fig7_adaptive_report_extends_the_fixed_scalar_order() {
-        let adaptive = fig7_report_adaptive(0.02, fig7_stats::ADAPTIVE_MAX_DEFAULT).unwrap();
-        let fixed = fig7_report().unwrap();
-        let base: Vec<_> = fixed.scalars.iter().map(|(n, _)| *n).collect();
-        let ext: Vec<_> = adaptive.scalars.iter().map(|(n, _)| *n).collect();
-        assert_eq!(&ext[..base.len()], &base[..], "base order is the contract");
-        assert_eq!(
-            &ext[base.len()..],
-            &["devices", "rounds", "ci_half_width", "converged"]
-        );
-        assert!(adaptive.scalars.iter().all(|(_, v)| v.is_finite()));
     }
 
     #[test]

@@ -44,10 +44,9 @@ use carbon_runtime::{cancel, Executor, Xoshiro256pp};
 use crate::node::{CostModel, NodeSpec};
 use crate::{EconError, YieldModel};
 
-/// Devices sampled per adaptive batch; every cell draws whole batches,
-/// so an adaptive run is a prefix of a longer fixed run on the same
-/// stream.
-pub const ADAPTIVE_BATCH: u64 = 256;
+/// Draws between cancellation polls inside one cell, so `timeout_ms`
+/// still fires inside a large cell.
+const CANCEL_POLL: u64 = 256;
 
 /// Threshold voltage mean/sigma and on-current median/log-sigma used
 /// for the purity Monte-Carlo. Fixed at the fab park-preset values:
@@ -91,7 +90,8 @@ impl CampaignGrid {
     ///
     /// Returns [`EconError::Invalid`] when an axis is empty, an area
     /// is not finite and positive, a defect density is not finite and
-    /// non-negative, or a purity is outside `[0, 1]`.
+    /// non-negative, a purity is outside `[0, 1]`, or the product of
+    /// the axis lengths overflows `usize`.
     pub fn new(
         nodes: Vec<NodeSpec>,
         areas_cm2: Vec<f64>,
@@ -130,6 +130,19 @@ impl CampaignGrid {
                     "econ.purities[{i}] = {p} must be a probability in [0, 1]"
                 )));
             }
+        }
+        // `len` multiplies the axis lengths; prove here it cannot wrap.
+        let cells = [areas_cm2.len(), d0.len(), purities.len()]
+            .into_iter()
+            .try_fold(nodes.len(), usize::checked_mul);
+        if cells.is_none() {
+            return Err(EconError::invalid(format!(
+                "econ grid of {} nodes × {} areas_cm2 × {} d0 × {} purities overflows the cell count",
+                nodes.len(),
+                areas_cm2.len(),
+                d0.len(),
+                purities.len()
+            )));
         }
         Ok(Self {
             nodes,
@@ -210,65 +223,6 @@ impl CampaignGrid {
     }
 }
 
-/// How many devices each cell's purity Monte-Carlo samples.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum McMode {
-    /// Exactly `devices` samples per cell.
-    Fixed {
-        /// Devices per cell; at least 1.
-        devices: u64,
-    },
-    /// Grow in [`ADAPTIVE_BATCH`]-device batches until the 95 % yield
-    /// CI half-width reaches `target_ci` or `max_devices` is hit.
-    Adaptive {
-        /// CI half-width target, in `(0, 1)`.
-        target_ci: f64,
-        /// Sampling cap per cell; at least 1.
-        max_devices: u64,
-    },
-}
-
-impl McMode {
-    /// Validates the mode's parameters in the named-field style.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EconError::Invalid`] for a zero device count, a
-    /// `target_ci` outside `(0, 1)`, or a zero `max_devices`.
-    pub fn validate(&self) -> Result<(), EconError> {
-        match *self {
-            Self::Fixed { devices } => {
-                if devices == 0 {
-                    return Err(EconError::invalid("econ.devices must be positive"));
-                }
-            }
-            Self::Adaptive {
-                target_ci,
-                max_devices,
-            } => {
-                if !(target_ci > 0.0 && target_ci < 1.0) {
-                    return Err(EconError::invalid(format!(
-                        "econ.target_ci = {target_ci} must be in (0, 1)"
-                    )));
-                }
-                if max_devices == 0 {
-                    return Err(EconError::invalid("econ.max_devices must be positive"));
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// The largest device count a cell can sample under this mode.
-    #[must_use]
-    pub fn max_devices(&self) -> u64 {
-        match *self {
-            Self::Fixed { devices } => devices,
-            Self::Adaptive { max_devices, .. } => max_devices,
-        }
-    }
-}
-
 /// Everything a campaign needs besides the grid.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EconConfig {
@@ -279,8 +233,8 @@ pub struct EconConfig {
     /// Devices per circuit copy (default: the 178-CNFET Shulaker
     /// computer).
     pub circuit_devices: u32,
-    /// Monte-Carlo sizing mode.
-    pub mc: McMode,
+    /// Devices sampled per cell by the purity Monte-Carlo; at least 1.
+    pub devices: u64,
     /// Campaign seed; cell `i` draws from stream `i` of this seed.
     pub seed: u64,
 }
@@ -291,7 +245,7 @@ impl Default for EconConfig {
             cost: CostModel::default(),
             yield_model: YieldModel::Poisson,
             circuit_devices: carbon_fab::CircuitYield::SHULAKER_COMPUTER_CNFETS,
-            mc: McMode::Fixed { devices: 2048 },
+            devices: 2048,
             seed: 0,
         }
     }
@@ -303,12 +257,15 @@ impl EconConfig {
     /// # Errors
     ///
     /// Returns [`EconError::Invalid`] for a zero `circuit_devices` or
-    /// an invalid [`McMode`].
+    /// a zero `devices`.
     pub fn validate(&self) -> Result<(), EconError> {
         if self.circuit_devices == 0 {
             return Err(EconError::invalid("econ.circuit_devices must be positive"));
         }
-        self.mc.validate()
+        if self.devices == 0 {
+            return Err(EconError::invalid("econ.devices must be positive"));
+        }
+        Ok(())
     }
 }
 
@@ -326,8 +283,7 @@ pub struct EconPoint {
     pub d0: f64,
     /// Chirality purity.
     pub purity: f64,
-    /// Devices actually sampled (equals the fixed count, or the
-    /// adaptive stopping point).
+    /// Devices sampled ([`EconConfig::devices`]).
     pub devices_sampled: u64,
     /// Monte-Carlo device yield: fraction of sampled sites not
     /// metallically shorted.
@@ -440,8 +396,8 @@ impl CampaignResult {
 /// byte-identical at any `CARBON_THREADS`.
 ///
 /// Cancellation (the ambient [`carbon_runtime::cancel`] token, which
-/// the executor propagates into its workers) is polled at batch
-/// boundaries; a cancelled campaign returns [`EconError::Cancelled`]
+/// the executor propagates into its workers) is polled every
+/// 256 draws; a cancelled campaign returns [`EconError::Cancelled`]
 /// rather than partial results, and cancellation never alters the
 /// values of cells that do complete.
 ///
@@ -459,7 +415,7 @@ pub fn evaluate(
         "econ.campaign",
         "cells" = grid.len() as u64,
         "seed" = config.seed,
-        "max_devices" = config.mc.max_devices(),
+        "devices" = config.devices,
     );
     let cells: Vec<Result<EconPoint, EconError>> =
         ex.par_mc_fine(config.seed, grid.len(), |index, rng| {
@@ -496,34 +452,20 @@ fn evaluate_cell(
     )
     .expect("grid-validated purity with fixed vt/ion parameters");
 
-    // Sample in whole batches so adaptive runs are prefixes of fixed
-    // runs on the same stream. Cancellation is polled between batches
-    // only — it aborts the campaign, never changes a completed value.
-    let mut sampled = 0u64;
+    // Cancellation aborts the campaign; it never changes a completed
+    // value.
     let mut ok = 0u64;
-    let mut half = f64::INFINITY;
-    let target = config.mc.max_devices();
-    while sampled < target {
-        if cancel::cancelled() {
+    for i in 0..config.devices {
+        if i % CANCEL_POLL == 0 && cancel::cancelled() {
             return Err(EconError::Cancelled);
         }
-        let batch = ADAPTIVE_BATCH.min(target - sampled);
-        for _ in 0..batch {
-            // Failure model: only a metallic short kills the device;
-            // empty sites are opens the design routes around.
-            if !matches!(model.sample_device(rng), DeviceOutcome::MetallicShort) {
-                ok += 1;
-            }
-        }
-        sampled += batch;
-        half = yield_ci_half_width(ok as usize, sampled as usize);
-        if let McMode::Adaptive { target_ci, .. } = config.mc {
-            if half <= target_ci {
-                break;
-            }
+        // Failure model: only a metallic short kills the device; empty
+        // sites are opens the design routes around.
+        if !matches!(model.sample_device(rng), DeviceOutcome::MetallicShort) {
+            ok += 1;
         }
     }
-    let device_yield = ok as f64 / sampled as f64;
+    let device_yield = ok as f64 / config.devices as f64;
 
     let circuit_yield =
         device_yield.powi(i32::try_from(config.circuit_devices).unwrap_or(i32::MAX));
@@ -555,9 +497,9 @@ fn evaluate_cell(
         area_cm2: area,
         d0,
         purity,
-        devices_sampled: sampled,
+        devices_sampled: config.devices,
         device_yield,
-        ci_half_width: half,
+        ci_half_width: yield_ci_half_width(ok as usize, config.devices as usize),
         circuit_yield,
         defect_yield,
         copies_per_die: copies,
@@ -632,6 +574,15 @@ mod tests {
                 CampaignGrid::new(node(), vec![1.0], vec![0.1], vec![]),
                 "econ.purities must not be empty",
             ),
+            (
+                CampaignGrid::new(
+                    vec![NodeSpec::preset("cnt90").unwrap(); 1 << 16],
+                    vec![1.0; 1 << 16],
+                    vec![0.1; 1 << 16],
+                    vec![0.99; 1 << 16],
+                ),
+                "65536 nodes × 65536 areas_cm2 × 65536 d0 × 65536 purities overflows",
+            ),
         ];
         for (result, needle) in cases {
             let reason = result.expect_err("invalid grid accepted").to_string();
@@ -643,7 +594,7 @@ mod tests {
     fn results_are_bit_identical_across_thread_counts() {
         let grid = small_grid();
         let config = EconConfig {
-            mc: McMode::Fixed { devices: 512 },
+            devices: 512,
             seed: 2014,
             ..EconConfig::default()
         };
@@ -652,6 +603,37 @@ mod tests {
             let got = evaluate(&Executor::with_threads(threads), &grid, &config).unwrap();
             assert_eq!(got, reference, "drift at {threads} threads");
         }
+        // Golden digest over every field's bits: the per-cell sampling
+        // loop must keep drawing the same stream in the same order.
+        let mut h = carbon_json::Fnv::new();
+        for p in &reference.points {
+            h.write(&p.index.to_be_bytes());
+            h.write(p.node.as_bytes());
+            for v in [p.area_cm2, p.d0, p.purity] {
+                h.write_f64(v);
+            }
+            h.write(&p.devices_sampled.to_be_bytes());
+            for v in [
+                p.device_yield,
+                p.ci_half_width,
+                p.circuit_yield,
+                p.defect_yield,
+            ] {
+                h.write_f64(v);
+            }
+            h.write(&p.copies_per_die.to_be_bytes());
+            h.write_f64(p.die_yield);
+            h.write(&p.dies_per_wafer.to_be_bytes());
+            for v in [
+                p.good_dies_per_wafer,
+                p.working_circuits_per_wafer,
+                p.cost_per_good_die,
+                p.carbon_per_good_die,
+            ] {
+                h.write_f64(v);
+            }
+        }
+        assert_eq!(h.finish(), 0xe00b_6fac_0a74_200d);
     }
 
     #[test]
@@ -659,7 +641,7 @@ mod tests {
         // P(not short) = e^(-λ(1-p)) for Poisson site occupancy.
         let grid = CampaignGrid::point(NodeSpec::preset("cnt90").unwrap(), 1.0, 0.1, 0.97).unwrap();
         let config = EconConfig {
-            mc: McMode::Fixed { devices: 40_000 },
+            devices: 40_000,
             seed: 7,
             ..EconConfig::default()
         };
@@ -676,61 +658,6 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_mode_is_a_prefix_of_the_fixed_run_and_converges() {
-        let grid = small_grid();
-        let fixed = EconConfig {
-            mc: McMode::Fixed { devices: 65_536 },
-            seed: 42,
-            ..EconConfig::default()
-        };
-        let adaptive = EconConfig {
-            mc: McMode::Adaptive {
-                target_ci: 0.02,
-                max_devices: 65_536,
-            },
-            seed: 42,
-            ..EconConfig::default()
-        };
-        let ex = Executor::with_threads(4);
-        let full = evaluate(&ex, &grid, &fixed).unwrap();
-        let grown = evaluate(&ex, &grid, &adaptive).unwrap();
-        for (a, f) in grown.points.iter().zip(&full.points) {
-            assert!(a.ci_half_width <= 0.02, "cell {} did not converge", a.index);
-            assert!(a.devices_sampled <= f.devices_sampled);
-            assert_eq!(
-                a.devices_sampled % ADAPTIVE_BATCH,
-                0,
-                "adaptive sampling is batch-aligned"
-            );
-            // Same stream, so the adaptive estimate at its stopping
-            // point is reproducible: re-evaluating with the stopping
-            // count fixed gives the identical yield.
-            let refix = EconConfig {
-                mc: McMode::Fixed {
-                    devices: a.devices_sampled,
-                },
-                ..fixed.clone()
-            };
-            let single = CampaignGrid::point(
-                grid.nodes()[grid.cell(a.index as usize).node_idx].clone(),
-                a.area_cm2,
-                a.d0,
-                a.purity,
-            )
-            .unwrap();
-            // Single-cell grid: cell 0 draws stream 0, not stream
-            // a.index, so compare only when the cell is index 0.
-            if a.index == 0 {
-                let again = evaluate(&ex, &single, &refix).unwrap();
-                assert_eq!(
-                    again.points[0].device_yield.to_bits(),
-                    a.device_yield.to_bits()
-                );
-            }
-        }
-    }
-
-    #[test]
     fn economics_respond_to_the_axes() {
         // Purity cliff: at fixed node/area/d0, higher purity must not
         // yield fewer good dies, and the sweep must straddle the cliff.
@@ -742,7 +669,7 @@ mod tests {
         )
         .unwrap();
         let config = EconConfig {
-            mc: McMode::Fixed { devices: 4096 },
+            devices: 4096,
             seed: 1,
             ..EconConfig::default()
         };
@@ -781,7 +708,7 @@ mod tests {
         // cnt90 at 9e7/cm² over 1e-6 cm² → 90 transistors < 178.
         let grid = CampaignGrid::point(NodeSpec::preset("cnt90").unwrap(), 1e-6, 0.0, 1.0).unwrap();
         let config = EconConfig {
-            mc: McMode::Fixed { devices: 64 },
+            devices: 64,
             ..EconConfig::default()
         };
         let result = evaluate(&Executor::with_threads(1), &grid, &config).unwrap();
@@ -803,7 +730,7 @@ mod tests {
         let collector = Collector::new();
         let grid = small_grid();
         let config = EconConfig {
-            mc: McMode::Fixed { devices: 64 },
+            devices: 64,
             ..EconConfig::default()
         };
         carbon_trace::with_subscriber(collector.clone(), || {
@@ -820,7 +747,7 @@ mod tests {
     fn cancellation_aborts_the_campaign() {
         let grid = small_grid();
         let config = EconConfig {
-            mc: McMode::Fixed { devices: 4096 },
+            devices: 4096,
             ..EconConfig::default()
         };
         let token = CancelToken::new();
@@ -834,14 +761,7 @@ mod tests {
     #[test]
     fn config_validation_names_fields() {
         let bad_devices = EconConfig {
-            mc: McMode::Fixed { devices: 0 },
-            ..EconConfig::default()
-        };
-        let bad_ci = EconConfig {
-            mc: McMode::Adaptive {
-                target_ci: 1.5,
-                max_devices: 10,
-            },
+            devices: 0,
             ..EconConfig::default()
         };
         let bad_circuit = EconConfig {
@@ -850,7 +770,6 @@ mod tests {
         };
         for (config, needle) in [
             (bad_devices, "econ.devices"),
-            (bad_ci, "econ.target_ci = 1.5"),
             (bad_circuit, "econ.circuit_devices"),
         ] {
             let reason = config.validate().expect_err("invalid accepted").to_string();

@@ -19,11 +19,9 @@
 //! carbon-per-good-die ([`EconPoint`]). Evaluation runs cell-parallel
 //! over the deterministic chunked [`carbon_runtime::Executor`]
 //! (`par_mc_fine`: one RNG stream per cell), so a campaign is
-//! byte-identical at any `CARBON_THREADS`. An adaptive mode grows each
-//! cell's device sample in fixed batches until the 95 % yield CI
-//! reaches a target half-width — the same CI machinery as the fab
-//! fig7 campaign — while remaining a deterministic prefix of the
-//! fixed-size run.
+//! byte-identical at any `CARBON_THREADS`. Every cell samples the same
+//! fixed device count ([`EconConfig::devices`]) and reports its 95 %
+//! yield CI half-width next to the estimate.
 //!
 //! The **failure model** follows the paper's imperfection-immune
 //! framing: empty assembly sites are routed around (opens are
@@ -47,7 +45,6 @@ pub mod node;
 
 pub use campaign::{
     evaluate, CampaignGrid, CampaignResult, CampaignSummary, CellCoords, EconConfig, EconPoint,
-    McMode,
 };
 pub use defect::YieldModel;
 pub use node::{CostModel, NodeSpec};

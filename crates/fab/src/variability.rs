@@ -13,7 +13,7 @@
 //! * **functional** — only semiconducting tubes: threshold voltage and
 //!   on-current are drawn with process dispersion.
 
-use carbon_runtime::{Distribution, Executor, LogNormal, Normal, Rng, MC_CHUNK};
+use carbon_runtime::{Distribution, Executor, LogNormal, Normal, Rng};
 
 use crate::placement::SelfAssembly;
 use crate::stats;
@@ -164,75 +164,6 @@ impl VariabilityModel {
             outcomes: ex.par_mc(seed, n, |_, rng| self.sample_device(rng)),
         }
     }
-
-    /// Grows a campaign adaptively until the 95 % confidence interval
-    /// on the functional yield is tighter than `target_ci` (half-width)
-    /// or `max_devices` sites have been measured.
-    ///
-    /// Each round appends exactly one [`MC_CHUNK`] of devices through
-    /// [`Executor::par_mc_extend`], so round `r` of the campaign is
-    /// bit-identical to items `r·MC_CHUNK..` of a fixed-size
-    /// [`sample_population_with`] run with the same seed — at any
-    /// thread count. The growth schedule depends only on the sampled
-    /// outcomes (never on the schedule), so the final population is
-    /// byte-identical across `CARBON_THREADS` settings and stops within
-    /// one chunk of the smallest n meeting the target. A final partial
-    /// chunk occurs only when `max_devices` is not chunk-aligned.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `target_ci` is positive and finite and
-    /// `max_devices > 0`.
-    pub fn sample_population_adaptive(
-        &self,
-        ex: &Executor,
-        seed: u64,
-        target_ci: f64,
-        max_devices: usize,
-    ) -> AdaptiveCampaign {
-        assert!(
-            target_ci > 0.0 && target_ci.is_finite(),
-            "target_ci must be positive and finite, got {target_ci}"
-        );
-        assert!(max_devices > 0, "max_devices must be positive");
-        let _span = carbon_trace::span!(
-            "fab.adaptive_campaign",
-            "seed" = seed,
-            "max_devices" = max_devices as u64
-        );
-        let mut outcomes: Vec<DeviceOutcome> = Vec::new();
-        let mut functional = 0usize;
-        let mut rounds = 0usize;
-        let mut half = f64::INFINITY;
-        while outcomes.len() < max_devices {
-            let start = outcomes.len();
-            let end = (start + MC_CHUNK).min(max_devices);
-            let chunk = ex.par_mc_extend(seed, start, end, |_, rng| self.sample_device(rng));
-            functional += chunk
-                .iter()
-                .filter(|o| matches!(o, DeviceOutcome::Functional { .. }))
-                .count();
-            outcomes.extend(chunk);
-            rounds += 1;
-            half = yield_ci_half_width(functional, outcomes.len());
-            carbon_trace::instant!(
-                "fab.campaign.round",
-                "round" = rounds as u64,
-                "devices" = outcomes.len() as u64,
-                "ci_half_width" = half
-            );
-            if half <= target_ci {
-                break;
-            }
-        }
-        let converged = half <= target_ci;
-        AdaptiveCampaign {
-            population: DevicePopulation { outcomes },
-            rounds,
-            ci_half_width: half,
-            converged,
-        }
-    }
 }
 
 /// 95 % two-sided normal quantile used for the campaign yield CI.
@@ -241,28 +172,13 @@ pub const Z95: f64 = 1.959_963_984_540_054;
 /// Normal-approximation half-width of the 95 % confidence interval on a
 /// yield estimate of `functional` successes out of `n` devices.
 /// Infinite for `n == 0`; zero when the observed yield is exactly 0 or
-/// 1 (degenerate binomial — callers wanting protection against an
-/// all-functional first chunk should set a larger `max_devices` floor).
+/// 1 (degenerate binomial).
 pub fn yield_ci_half_width(functional: usize, n: usize) -> f64 {
     if n == 0 {
         return f64::INFINITY;
     }
     let p = functional as f64 / n as f64;
     Z95 * (p * (1.0 - p) / n as f64).sqrt()
-}
-
-/// Result of an adaptive yield campaign
-/// ([`VariabilityModel::sample_population_adaptive`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct AdaptiveCampaign {
-    /// All devices measured, in campaign order.
-    pub population: DevicePopulation,
-    /// Number of [`MC_CHUNK`] rounds run.
-    pub rounds: usize,
-    /// Final 95 % CI half-width on the functional yield.
-    pub ci_half_width: f64,
-    /// `true` if the target was met before `max_devices`.
-    pub converged: bool,
 }
 
 /// A measured array of devices with summary statistics.
@@ -472,63 +388,6 @@ mod tests {
         let (sm, ss) = seq.vt_statistics();
         assert!((pm - sm).abs() < 0.01, "means {pm} vs {sm}");
         assert!((ps - ss).abs() < 0.01, "sigmas {ps} vs {ss}");
-    }
-
-    #[test]
-    fn adaptive_campaign_is_a_prefix_of_the_fixed_run() {
-        let model = VariabilityModel::park_experiment();
-        let ex = Executor::with_threads(2);
-        let campaign = model.sample_population_adaptive(&ex, 2014, 0.02, 100_000);
-        assert!(campaign.converged);
-        assert!(campaign.ci_half_width <= 0.02);
-        let n = campaign.population.len();
-        assert_eq!(n, campaign.rounds * MC_CHUNK, "whole chunks only");
-        // Every device matches the same-seed fixed-size run: growing
-        // the campaign never perturbs earlier samples.
-        let fixed = model.sample_population_with(&ex, 2014, n);
-        assert_eq!(campaign.population, fixed);
-    }
-
-    #[test]
-    fn adaptive_campaign_is_thread_count_invariant() {
-        let model = VariabilityModel::park_experiment();
-        let reference =
-            model.sample_population_adaptive(&Executor::with_threads(1), 7, 0.02, 50_000);
-        for threads in [2, 4, 8] {
-            let campaign =
-                model.sample_population_adaptive(&Executor::with_threads(threads), 7, 0.02, 50_000);
-            assert_eq!(campaign, reference, "divergence at {threads} threads");
-        }
-    }
-
-    #[test]
-    fn adaptive_campaign_stops_within_one_chunk_of_the_target() {
-        let model = VariabilityModel::park_experiment();
-        let ex = Executor::with_threads(2);
-        let campaign = model.sample_population_adaptive(&ex, 3, 0.015, 200_000);
-        assert!(campaign.converged);
-        let n = campaign.population.len();
-        // One chunk fewer must NOT have met the target (minimality).
-        if n > MC_CHUNK {
-            let shorter = model.sample_population_with(&ex, 3, n - MC_CHUNK);
-            assert!(
-                yield_ci_half_width(shorter.count_functional(), shorter.len()) > 0.015,
-                "stopped later than necessary"
-            );
-        }
-    }
-
-    #[test]
-    fn adaptive_campaign_caps_at_max_devices() {
-        let model = VariabilityModel::park_experiment();
-        let ex = Executor::with_threads(2);
-        // Unreachable target: must stop at the cap, including a final
-        // partial chunk when the cap is not chunk-aligned.
-        let cap = MC_CHUNK + MC_CHUNK / 2;
-        let campaign = model.sample_population_adaptive(&ex, 5, 1e-9, cap);
-        assert!(!campaign.converged);
-        assert_eq!(campaign.population.len(), cap);
-        assert_eq!(campaign.rounds, 2);
     }
 
     #[test]

@@ -111,43 +111,9 @@ impl Executor {
         T: Send,
         F: Fn(usize, &mut Xoshiro256pp) -> T + Sync,
     {
-        self.par_mc_extend(seed, 0, n, f)
-    }
-
-    /// Extends a [`par_mc`](Self::par_mc) campaign: evaluates items
-    /// `start..end` of the run seeded from `seed`, returning their
-    /// results in index order.
-    ///
-    /// `start` must be chunk-aligned (a multiple of [`MC_CHUNK`]).
-    /// Because chunk `k` always draws from
-    /// `Xoshiro256pp::from_seed_and_stream(seed, k)` regardless of how
-    /// many chunks ran before it, the concatenation of aligned extend
-    /// calls is **bit-identical** to one `par_mc(seed, end, f)` of the
-    /// full length — at any thread count. This is what adaptive
-    /// campaign sizing grows on: each round appends chunks without
-    /// re-drawing (or perturbing) a single earlier sample.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `start` is not a multiple of [`MC_CHUNK`] or
-    /// `start > end`.
-    pub fn par_mc_extend<T, F>(&self, seed: u64, start: usize, end: usize, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(usize, &mut Xoshiro256pp) -> T + Sync,
-    {
-        assert!(
-            start.is_multiple_of(MC_CHUNK),
-            "par_mc_extend start = {start} must be a multiple of MC_CHUNK = {MC_CHUNK}"
-        );
-        assert!(start <= end, "par_mc_extend start = {start} > end = {end}");
-        let base_chunk = start / MC_CHUNK;
-        self.run_chunked(end - start, MC_CHUNK, |chunk_start, chunk_index, out| {
-            let global_chunk = (base_chunk + chunk_index) as u64;
-            let mut rng = Xoshiro256pp::from_seed_and_stream(seed, global_chunk);
-            let i0 = start + chunk_start;
-            let i1 = (i0 + MC_CHUNK).min(end);
-            for i in i0..i1 {
+        self.run_chunked(n, MC_CHUNK, |chunk_start, chunk_index, out| {
+            let mut rng = Xoshiro256pp::from_seed_and_stream(seed, chunk_index as u64);
+            for i in chunk_start..(chunk_start + MC_CHUNK).min(n) {
                 out.push(f(i, &mut rng));
             }
         })
@@ -327,35 +293,22 @@ mod tests {
     }
 
     #[test]
-    fn par_mc_extend_matches_the_tail_of_one_full_run() {
+    fn par_mc_draws_are_pinned() {
+        // Golden digest of the chunked stream layout: any change to
+        // chunk seeding or item order moves it, at every thread count.
         let n = 3 * MC_CHUNK + 17;
-        let full = par_mc(2014, n, |i, rng| (i, rng.next_u64()));
-        for threads in [1, 2, 4, 8] {
-            let ex = Executor::with_threads(threads);
-            // Grown in rounds of one chunk, the concatenation must be
-            // bit-identical to the single full run.
-            let mut grown = Vec::new();
-            let mut start = 0;
-            while start < n {
-                let end = (start + MC_CHUNK).min(n);
-                grown.extend(ex.par_mc_extend(2014, start, end, |i, rng| (i, rng.next_u64())));
-                start = end;
+        for threads in 1..=4 {
+            let out = Executor::with_threads(threads).par_mc(2014, n, |_, rng| rng.next_u64());
+            let mut h = carbon_json::Fnv::new();
+            for v in out {
+                h.write(&v.to_be_bytes());
             }
-            assert_eq!(grown, full, "divergence at {threads} threads");
-            // And a single mid-campaign extension matches the tail.
-            let tail = ex.par_mc_extend(2014, MC_CHUNK, n, |i, rng| (i, rng.next_u64()));
             assert_eq!(
-                tail[..],
-                full[MC_CHUNK..],
-                "tail divergence at {threads} threads"
+                h.finish(),
+                0xfad4_3543_015f_7a11,
+                "drift at {threads} threads"
             );
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "must be a multiple of MC_CHUNK")]
-    fn par_mc_extend_rejects_misaligned_start() {
-        Executor::new().par_mc_extend(1, 7, MC_CHUNK, |_, rng| rng.next_u64());
     }
 
     #[test]

@@ -33,7 +33,7 @@
 //! request body is byte-identical regardless of worker count or arrival
 //! order.
 
-use carbon_econ::{CampaignGrid, CostModel, EconConfig, EconError, McMode, NodeSpec, YieldModel};
+use carbon_econ::{CampaignGrid, CostModel, EconConfig, EconError, NodeSpec, YieldModel};
 use carbon_json::Json;
 use carbon_spice::parser::parse_deck;
 use carbon_spice::{Circuit, SpiceError, TranMethod, TranOptions};
@@ -74,24 +74,15 @@ pub const QUEUED_JOB_KINDS: [&str; 9] = [
 /// can demand.
 pub const MAX_AC_POINTS: usize = 100_000;
 
-/// Largest accepted `max_devices` for the adaptive fig7 campaign.
-/// Bounds the work a single request can demand.
-pub const MAX_CAMPAIGN_DEVICES: usize = 1_000_000;
-
 /// Largest accepted econ campaign grid, cells.
 pub const MAX_ECON_CELLS: usize = 100_000;
 
 /// Largest accepted econ campaign Monte-Carlo budget: cells × devices
-/// per cell (the per-cell cap, in the adaptive mode). Bounds the work a
-/// single request can demand.
+/// per cell. Bounds the work a single request can demand.
 pub const MAX_ECON_SAMPLES: u64 = 20_000_000;
 
 /// Default devices per econ cell when the request names no `devices`.
 pub const DEFAULT_ECON_DEVICES: u64 = 2048;
-
-/// Default per-cell device cap for adaptive econ campaigns without an
-/// explicit `max_devices`.
-pub const DEFAULT_ECON_MAX_DEVICES: u64 = 65_536;
 
 /// Errors from job validation and execution.
 #[derive(Debug, Clone, PartialEq)]
@@ -218,17 +209,9 @@ pub enum Job {
     Fig2,
     /// The Fig. 5 CNT benchmarking experiment.
     Fig5,
-    /// The §V variability-statistics experiment. Parameterless by
-    /// default (the fixed 10,000-device campaign); an optional
-    /// `target_ci` switches to adaptive sizing, with `max_devices`
-    /// capping the growth.
-    Fig7 {
-        /// Target 95 % CI half-width on the functional yield;
-        /// `None` runs the fixed campaign.
-        target_ci: Option<f64>,
-        /// Device cap for the adaptive campaign.
-        max_devices: Option<usize>,
-    },
+    /// The §V variability-statistics experiment: the fixed
+    /// 10,000-device campaign.
+    Fig7,
     /// One wafer-economics cell: a single-cell [`CampaignGrid`]
     /// evaluated by [`carbon_econ::evaluate`], reporting yield, good
     /// dies per wafer, and cost/carbon per good die.
@@ -268,7 +251,7 @@ impl Job {
             Self::Transient { .. } => "transient",
             Self::Fig2 => "fig2",
             Self::Fig5 => "fig5",
-            Self::Fig7 { .. } => "fig7",
+            Self::Fig7 => "fig7",
             Self::EconPoint { .. } => "econ_point",
             Self::EconCampaign { .. } => "econ_campaign",
             Self::Ping => "ping",
@@ -401,43 +384,8 @@ impl Job {
             "ping" => Ok(Self::Ping),
             "stats" => Ok(Self::Stats),
             "fig7" => {
-                let target_ci = match job.get("target_ci") {
-                    None => None,
-                    Some(v) => Some(
-                        v.as_f64()
-                            .filter(|t| t.is_finite() && *t > 0.0 && *t < 1.0)
-                            .ok_or_else(|| {
-                                JobError::invalid("job.target_ci must be a number in (0, 1)")
-                            })?,
-                    ),
-                };
-                let max_devices = match job.get("max_devices") {
-                    None => None,
-                    Some(v) => {
-                        // Like transient options without the adaptive
-                        // method: a cap on a fixed-size campaign would
-                        // be silently ignored, so reject it.
-                        if target_ci.is_none() {
-                            return Err(JobError::invalid(
-                                "job.max_devices is only accepted with job.target_ci",
-                            ));
-                        }
-                        let m = v
-                            .as_u64()
-                            .filter(|m| *m > 0 && *m <= MAX_CAMPAIGN_DEVICES as u64)
-                            .ok_or_else(|| {
-                                JobError::invalid(format!(
-                                    "job.max_devices must be a positive integer at most \
-                                     {MAX_CAMPAIGN_DEVICES}"
-                                ))
-                            })?;
-                        Some(m as usize)
-                    }
-                };
-                Ok(Self::Fig7 {
-                    target_ci,
-                    max_devices,
-                })
+                reject_sizing_fields(job, "fig7 runs the fixed 10 000-device campaign")?;
+                Ok(Self::Fig7)
             }
             "econ_point" => {
                 let node = econ_node(
@@ -572,18 +520,7 @@ impl Job {
             }
             Self::Fig2 => figure_result(carbon_core::jobs::fig2_report()),
             Self::Fig5 => figure_result(carbon_core::jobs::fig5_report()),
-            // No target: the fixed campaign, byte-identical to the
-            // historical parameterless response.
-            Self::Fig7 {
-                target_ci: None, ..
-            } => figure_result(carbon_core::jobs::fig7_report()),
-            Self::Fig7 {
-                target_ci: Some(target),
-                max_devices,
-            } => figure_result(carbon_core::jobs::fig7_report_adaptive(
-                *target,
-                max_devices.unwrap_or(carbon_core::fig7_stats::ADAPTIVE_MAX_DEFAULT),
-            )),
+            Self::Fig7 => figure_result(carbon_core::jobs::fig7_report()),
             // The chunked executor gives every cell its own RNG stream
             // and the ambient cancel token rides into its workers, so
             // deadlines behave exactly as they do for solver jobs.
@@ -736,13 +673,11 @@ fn num_array_field(job: &Json, field: &str) -> Result<Vec<f64>, JobError> {
         .collect()
 }
 
-/// The shared econ config fields: `yield_model`/`alpha`,
-/// `devices` or `target_ci`/`max_devices`, `circuit_devices`, `seed`.
+/// The shared econ config fields: `yield_model`/`alpha`, `devices`,
+/// `circuit_devices`, `seed`.
 ///
-/// Field-pairing rules mirror the fig7 and transient precedents:
-/// `alpha` is only accepted with the negative-binomial model,
-/// `max_devices` only with `target_ci`, and a fixed `devices` count
-/// conflicts with `target_ci` (one of them would be silently ignored).
+/// `alpha` is only accepted with the negative-binomial model (it would
+/// otherwise be silently ignored), mirroring the transient options.
 fn econ_config_fields(job: &Json) -> Result<EconConfig, JobError> {
     let yield_model = match job.get("yield_model") {
         None => {
@@ -786,54 +721,17 @@ fn econ_config_fields(job: &Json) -> Result<EconConfig, JobError> {
             None => return Err(JobError::invalid("job.yield_model must be a string")),
         },
     };
-    let target_ci = match job.get("target_ci") {
-        None => None,
-        Some(v) => Some(
-            v.as_f64()
-                .filter(|t| t.is_finite() && *t > 0.0 && *t < 1.0)
-                .ok_or_else(|| JobError::invalid("job.target_ci must be a number in (0, 1)"))?,
-        ),
-    };
-    let mc = if let Some(target_ci) = target_ci {
-        if job.get("devices").is_some() {
-            return Err(JobError::invalid(
-                "job.devices conflicts with job.target_ci: fixed and adaptive sizing \
-                 are mutually exclusive",
-            ));
-        }
-        let max_devices = match job.get("max_devices") {
-            None => DEFAULT_ECON_MAX_DEVICES,
-            Some(v) => v
-                .as_u64()
-                .filter(|m| *m > 0 && *m <= MAX_ECON_SAMPLES)
-                .ok_or_else(|| {
-                    JobError::invalid(format!(
-                        "job.max_devices must be a positive integer at most {MAX_ECON_SAMPLES}"
-                    ))
-                })?,
-        };
-        McMode::Adaptive {
-            target_ci,
-            max_devices,
-        }
-    } else {
-        if job.get("max_devices").is_some() {
-            return Err(JobError::invalid(
-                "job.max_devices is only accepted with job.target_ci",
-            ));
-        }
-        let devices = match job.get("devices") {
-            None => DEFAULT_ECON_DEVICES,
-            Some(v) => v
-                .as_u64()
-                .filter(|d| *d > 0 && *d <= MAX_ECON_SAMPLES)
-                .ok_or_else(|| {
-                    JobError::invalid(format!(
-                        "job.devices must be a positive integer at most {MAX_ECON_SAMPLES}"
-                    ))
-                })?,
-        };
-        McMode::Fixed { devices }
+    reject_sizing_fields(job, "set job.devices")?;
+    let devices = match job.get("devices") {
+        None => DEFAULT_ECON_DEVICES,
+        Some(v) => v
+            .as_u64()
+            .filter(|d| *d > 0 && *d <= MAX_ECON_SAMPLES)
+            .ok_or_else(|| {
+                JobError::invalid(format!(
+                    "job.devices must be a positive integer at most {MAX_ECON_SAMPLES}"
+                ))
+            })?,
     };
     let circuit_devices = match job.get("circuit_devices") {
         None => carbon_fab::CircuitYield::SHULAKER_COMPUTER_CNFETS,
@@ -859,9 +757,23 @@ fn econ_config_fields(job: &Json) -> Result<EconConfig, JobError> {
         cost: CostModel::default(),
         yield_model,
         circuit_devices,
-        mc,
+        devices,
         seed,
     })
+}
+
+/// Rejects the CI-targeted sizing fields by name. Campaigns are
+/// fixed-size; silently ignoring the fields would hand a client that
+/// still sends them a different campaign than it asked for.
+fn reject_sizing_fields(job: &Json, hint: &str) -> Result<(), JobError> {
+    for field in ["target_ci", "max_devices"] {
+        if job.get(field).is_some() {
+            return Err(JobError::invalid(format!(
+                "job.{field} is not accepted: campaigns are fixed-size ({hint})"
+            )));
+        }
+    }
+    Ok(())
 }
 
 /// Rejects campaigns whose grid or Monte-Carlo budget exceeds the
@@ -873,13 +785,13 @@ fn check_econ_budget(grid: &CampaignGrid, config: &EconConfig) -> Result<(), Job
             grid.len()
         )));
     }
-    let samples = (grid.len() as u64).saturating_mul(config.mc.max_devices());
+    let samples = (grid.len() as u64).saturating_mul(config.devices);
     if samples > MAX_ECON_SAMPLES {
         return Err(JobError::invalid(format!(
             "econ campaign would sample {samples} devices ({} cells × {} per cell), \
              more than the maximum {MAX_ECON_SAMPLES}",
             grid.len(),
-            config.mc.max_devices()
+            config.devices
         )));
     }
     Ok(())
@@ -1348,75 +1260,34 @@ mod tests {
 
     #[test]
     fn fig7_campaign_fields_are_validated() {
-        // target_ci must be a number in (0, 1).
-        for bad in ["0.0", "1.0", "-0.1", "\"tight\""] {
-            let err = Job::from_json(&job(&format!("{{\"kind\":\"fig7\",\"target_ci\":{bad}}}")))
-                .unwrap_err();
-            assert!(
-                matches!(&err, JobError::Invalid { reason } if reason.contains("job.target_ci")),
-                "for {bad}: {err:?}"
+        // The campaign is fixed-size: sizing fields are rejected by
+        // name, never silently ignored.
+        for body in [
+            "{\"kind\":\"fig7\",\"target_ci\":0.02}",
+            "{\"kind\":\"fig7\",\"max_devices\":5000}",
+            "{\"kind\":\"fig7\",\"target_ci\":0.02,\"max_devices\":50000}",
+        ] {
+            let err = Job::from_json(&job(body)).unwrap_err();
+            let JobError::Invalid { reason } = &err else {
+                panic!("expected Invalid for {body}, got {err:?}");
+            };
+            let field = if body.contains("target_ci") {
+                "job.target_ci"
+            } else {
+                "job.max_devices"
+            };
+            assert_eq!(
+                reason,
+                &format!(
+                    "{field} is not accepted: campaigns are fixed-size \
+                     (fig7 runs the fixed 10 000-device campaign)"
+                )
             );
         }
-        // max_devices without target_ci would be silently ignored.
-        let err = Job::from_json(&job("{\"kind\":\"fig7\",\"max_devices\":5000}")).unwrap_err();
-        assert!(
-            matches!(&err, JobError::Invalid { reason }
-                if reason.contains("job.max_devices") && reason.contains("job.target_ci")),
-            "{err:?}"
-        );
-        // max_devices bounds.
-        for bad in ["0", "2000000", "-5", "1.5"] {
-            let err = Job::from_json(&job(&format!(
-                "{{\"kind\":\"fig7\",\"target_ci\":0.02,\"max_devices\":{bad}}}"
-            )))
-            .unwrap_err();
-            assert!(
-                matches!(&err, JobError::Invalid { reason } if reason.contains("job.max_devices")),
-                "for {bad}: {err:?}"
-            );
-        }
-        // Valid shapes parse.
         assert!(matches!(
             Job::from_json(&job("{\"kind\":\"fig7\"}")).unwrap(),
-            Job::Fig7 {
-                target_ci: None,
-                max_devices: None
-            }
+            Job::Fig7
         ));
-        assert!(matches!(
-            Job::from_json(&job(
-                "{\"kind\":\"fig7\",\"target_ci\":0.02,\"max_devices\":50000}"
-            ))
-            .unwrap(),
-            Job::Fig7 {
-                target_ci: Some(_),
-                max_devices: Some(50_000)
-            }
-        ));
-    }
-
-    #[test]
-    fn adaptive_fig7_job_reports_campaign_scalars() {
-        let result = Job::from_json(&job("{\"kind\":\"fig7\",\"target_ci\":0.02}"))
-            .unwrap()
-            .run()
-            .unwrap();
-        let scalars = result.get("scalars").unwrap();
-        for name in ["functional_yield", "devices", "rounds", "ci_half_width"] {
-            assert!(scalars.get(name).is_some(), "missing scalar {name}");
-        }
-        assert_eq!(
-            scalars.get("converged").and_then(Json::as_f64),
-            Some(1.0),
-            "0.02 is reachable well before the default cap"
-        );
-        // The parameterless job keeps its historical shape: no
-        // campaign-sizing scalars.
-        let fixed = Job::from_json(&job("{\"kind\":\"fig7\"}"))
-            .unwrap()
-            .run()
-            .unwrap();
-        assert!(fixed.get("scalars").unwrap().get("devices").is_none());
     }
 
     #[test]
@@ -1464,16 +1335,22 @@ mod tests {
               \"purity\":0.99,\"yield_model\":\"weibull\"}",
                 "job.yield_model",
             ),
-            // Sizing fields are mutually exclusive, fig7-style.
+            // Campaigns are fixed-size: CI-targeted sizing fields are
+            // rejected by name, never silently ignored.
             (
                 "{\"kind\":\"econ_point\",\"node\":\"cnt28\",\"area_cm2\":1,\"d0\":0.1,\
               \"purity\":0.99,\"devices\":100,\"target_ci\":0.02}",
-                "job.devices",
+                "job.target_ci is not accepted: campaigns are fixed-size (set job.devices)",
             ),
             (
                 "{\"kind\":\"econ_point\",\"node\":\"cnt28\",\"area_cm2\":1,\"d0\":0.1,\
               \"purity\":0.99,\"max_devices\":100}",
-                "job.max_devices",
+                "job.max_devices is not accepted: campaigns are fixed-size (set job.devices)",
+            ),
+            (
+                "{\"kind\":\"econ_campaign\",\"nodes\":[\"cnt28\"],\"areas_cm2\":[1],\
+              \"d0\":[0.1],\"purities\":[0.99],\"target_ci\":0.02,\"max_devices\":100}",
+                "job.target_ci is not accepted: campaigns are fixed-size (set job.devices)",
             ),
             (
                 "{\"kind\":\"econ_point\",\"node\":\"cnt28\",\"area_cm2\":1,\"d0\":0.1,\
@@ -1534,6 +1411,24 @@ mod tests {
             matches!(&err, JobError::Invalid { reason } if reason.contains("would sample")),
             "{err:?}"
         );
+        // Four 65 536-entry axes: 2^64 cells, which wraps a usize
+        // product to 0. Must be a named validation error, not a panic
+        // or an empty campaign.
+        let axis = |v: &str| vec![v; 1 << 16].join(",");
+        let body = format!(
+            "{{\"kind\":\"econ_campaign\",\"nodes\":[{}],\"areas_cm2\":[{}],\
+             \"d0\":[{}],\"purities\":[{}]}}",
+            axis("\"cnt90\""),
+            axis("1"),
+            axis("0.1"),
+            axis("0.99")
+        );
+        let err = Job::from_json(&job(&body)).unwrap_err();
+        assert!(
+            matches!(&err, JobError::Invalid { reason }
+                if reason.contains("65536 nodes × 65536 areas_cm2 × 65536 d0 × 65536 purities")),
+            "{err:?}"
+        );
     }
 
     #[test]
@@ -1590,18 +1485,10 @@ mod tests {
         let summary = result.get("summary").expect("summary object");
         assert_eq!(summary.get("cells").and_then(Json::as_u64), Some(8));
         assert!(summary.get("best_index").is_some());
-        // The adaptive mode converges and reports its sampling size.
-        let adaptive = "{\"kind\":\"econ_campaign\",\"nodes\":[\"cnt28\"],\
-                        \"areas_cm2\":[1.0],\"d0\":[0.2],\"purities\":[0.99],\
-                        \"target_ci\":0.02}";
-        let result = Job::from_json(&job(adaptive)).unwrap().run().unwrap();
-        let sampled = result
-            .get("points")
-            .and_then(Json::as_array)
-            .and_then(|p| p[0].get("devices_sampled"))
-            .and_then(Json::as_u64)
-            .unwrap();
-        assert!(sampled > 0 && sampled <= DEFAULT_ECON_MAX_DEVICES);
+        assert_eq!(
+            points[0].get("devices_sampled").and_then(Json::as_u64),
+            Some(256)
+        );
     }
 
     #[test]
