@@ -243,16 +243,15 @@ grep '"id":"serve/cache_' "$trace_dir/cache-rows.jsonl" > "$trace_dir/cache-comp
 # Econ smoke: the wafer-economics subsystem must produce the pinned
 # 512-cell campaign row (the digest covers every cell's exact bit
 # patterns) at every CARBON_THREADS, serve a repeated econ_campaign
-# entirely from the response cache, and evaluate its grid through the
-# chunked executor — gated on the runtime.run_chunked spans in its
-# trace. The pinned row changes only with an intentional change to the
-# econ model or its sampling stream.
+# entirely from the response cache, and trace its evaluation under one
+# econ.campaign span. The pinned row changes only with an intentional
+# change to the econ model.
 echo "==> econ smoke: campaign digest byte-identity across thread counts"
 for t in 1 2 4 8; do
   CARBON_THREADS=$t "$bench_bin" econ > "$trace_dir/econ-$t.txt" \
     || { echo "econ smoke failed at threads=$t"; exit 1; }
 done
-econ_pin='econ mode=fixed cells=512 viable=270 devices_sampled=131072 best_index=13 digest=5f32d74e0f0d54ae'
+econ_pin='econ cells=512 viable=259 best_index=13 digest=c427f8055427d8fa'
 grep -qxF "$econ_pin" "$trace_dir/econ-1.txt" \
   || { echo "econ report lost the pinned 512-cell row: $econ_pin"; exit 1; }
 grep -q '^econ cache second_pass_hit_rate_permille=1000$' "$trace_dir/econ-1.txt" \
@@ -261,15 +260,13 @@ for t in 2 4 8; do
   diff "$trace_dir/econ-1.txt" "$trace_dir/econ-$t.txt" \
     || { echo "econ report drifted at threads=$t"; exit 1; }
 done
-echo "==> econ smoke: campaign evaluates through the chunked executor"
+echo "==> econ smoke: campaign evaluation is traced"
 CARBON_THREADS=2 CARBON_TRACE="$trace_dir/econ-trace.jsonl" \
   "$bench_bin" econ > /dev/null \
   || { echo "traced econ run failed"; exit 1; }
 "$bench_bin" trace-summary "$trace_dir/econ-trace.jsonl" > "$trace_dir/econ-summary.jsonl"
 grep -q '"id":"trace/econ.campaign/dur_ns"' "$trace_dir/econ-summary.jsonl" \
   || { echo "trace summary missing econ.campaign spans"; exit 1; }
-grep -q '"id":"trace/runtime.run_chunked/dur_ns"' "$trace_dir/econ-summary.jsonl" \
-  || { echo "econ campaign did not run through the chunked executor"; exit 1; }
 
 # Opt-in benchmark regression gate: measure the solver, transient,
 # device-batch, and econ groups for real and diff them against the

@@ -1,14 +1,12 @@
 //! Wafer-economics campaign benchmarks: the §V cost-of-carbon grid
-//! evaluated through the chunked executor.
+//! evaluated in closed form.
 //!
-//! `campaign_fixed/512x256` is the headline — the CI determinism grid
-//! (2 nodes × 4 areas × 4 defect densities × 16 purities) at 256
-//! devices per cell. `point_fixed/4096` is the single-cell serve path
-//! (`econ_point`) at its default sample depth.
+//! `campaign/512` is the headline — the CI determinism grid (2 nodes ×
+//! 4 areas × 4 defect densities × 16 purities). `point` is the
+//! single-cell serve path (`econ_point`).
 
 use carbon_econ::{CampaignGrid, EconConfig, NodeSpec, YieldModel};
 use carbon_runtime::bench::{black_box, Harness};
-use carbon_runtime::Executor;
 
 fn grid() -> CampaignGrid {
     let nodes = ["cnt90", "cnt28"]
@@ -26,23 +24,16 @@ fn grid() -> CampaignGrid {
     .expect("literal axes are valid")
 }
 
-fn config(devices: u64) -> EconConfig {
-    EconConfig {
-        yield_model: YieldModel::negative_binomial(2.0).expect("positive alpha"),
-        devices,
-        seed: 2014,
-        ..EconConfig::default()
-    }
-}
-
 fn main() {
     let mut h = Harness::group("econ");
-    let ex = Executor::new();
-    let grid = grid();
+    let config = EconConfig {
+        yield_model: YieldModel::negative_binomial(2.0).expect("positive alpha"),
+        ..EconConfig::default()
+    };
 
-    let fixed = config(256);
-    h.bench("campaign_fixed/512x256", || {
-        black_box(carbon_econ::evaluate(&ex, &grid, &fixed).expect("valid campaign"));
+    let grid = grid();
+    h.bench("campaign/512", || {
+        black_box(carbon_econ::evaluate(&grid, &config).expect("valid campaign"));
     });
 
     let point = CampaignGrid::point(
@@ -52,9 +43,8 @@ fn main() {
         0.999,
     )
     .expect("literal cell is valid");
-    let point_config = config(4096);
-    h.bench("point_fixed/4096", || {
-        black_box(carbon_econ::evaluate(&ex, &point, &point_config).expect("valid point"));
+    h.bench("point", || {
+        black_box(carbon_econ::evaluate(&point, &config).expect("valid point"));
     });
 
     h.finish();

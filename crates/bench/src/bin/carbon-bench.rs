@@ -48,13 +48,11 @@
 //! fixed-vs-adaptive step ratio on the ramp deck is the adaptive
 //! method's speedup evidence.
 //!
-//! `econ` runs the §V wafer-economics campaign twice: once in-process
-//! through the chunked executor — a 512-cell node × area × defect ×
-//! purity grid at 256 devices per cell, folded to an FNV-1a 64 digest
-//! over every cell's exact bit patterns, so `ci.sh` can pin the row and
-//! diff it across `CARBON_THREADS` — and once over a loopback
-//! carbon-serve server,
-//! submitting an identical `econ_campaign` body on two passes and
+//! `econ` runs the §V wafer-economics campaign twice: once in-process —
+//! a 512-cell node × area × defect × purity grid in closed form, folded
+//! to an FNV-1a 64 digest over every cell's exact bit patterns, so
+//! `ci.sh` can pin the row — and once over a loopback carbon-serve
+//! server, submitting an identical `econ_campaign` body on two passes and
 //! printing the second pass's cache hit rate in per-mille (1000 on a
 //! healthy server: a repeated campaign is served entirely from the
 //! response cache).
@@ -442,9 +440,7 @@ fn econ_digest(points: &[carbon_econ::EconPoint]) -> u64 {
         h.write_f64(p.area_cm2);
         h.write_f64(p.d0);
         h.write_f64(p.purity);
-        h.write(&p.devices_sampled.to_be_bytes());
         h.write_f64(p.device_yield);
-        h.write_f64(p.ci_half_width);
         h.write_f64(p.circuit_yield);
         h.write_f64(p.defect_yield);
         h.write(&p.copies_per_die.to_be_bytes());
@@ -458,27 +454,22 @@ fn econ_digest(points: &[carbon_econ::EconPoint]) -> u64 {
     h.finish()
 }
 
-/// Evaluates the CI grid at 256 devices per cell and prints its digest
-/// row.
+/// Evaluates the CI grid and prints its digest row.
 fn econ_row() -> Result<(), String> {
     let config = carbon_econ::EconConfig {
         yield_model: carbon_econ::YieldModel::negative_binomial(2.0).expect("positive alpha"),
-        devices: 256,
-        seed: 2014,
         ..carbon_econ::EconConfig::default()
     };
     let grid = econ_grid();
-    let result = carbon_econ::evaluate(&carbon_runtime::Executor::new(), &grid, &config)
-        .map_err(|e| e.to_string())?;
+    let result = carbon_econ::evaluate(&grid, &config).map_err(|e| e.to_string())?;
     let summary = result.summary();
     let best = summary
         .best_index
         .map_or_else(|| "none".to_owned(), |i| i.to_string());
     println!(
-        "econ mode=fixed cells={} viable={} devices_sampled={} best_index={best} digest={:016x}",
+        "econ cells={} viable={} best_index={best} digest={:016x}",
         summary.cells,
         summary.viable_cells,
-        summary.devices_sampled,
         econ_digest(&result.points)
     );
     Ok(())
@@ -517,9 +508,7 @@ fn econ_cache_smoke() -> Result<u64, String> {
             Json::Arr(vec![Json::Num(0.95), Json::Num(0.99), Json::Num(0.999)]),
         )
         .push("yield_model", "negative_binomial")
-        .push("alpha", 2.0)
-        .push("devices", 128)
-        .push("seed", 2014);
+        .push("alpha", 2.0);
     let mut second_pass_rate = 0u64;
     for pass in 0..2u32 {
         let before = server.stats();

@@ -191,7 +191,7 @@ fn request_body(i: usize) -> (&'static str, String) {
                     .push("tstop", 1e-3)
                     .push("nodes", nodes(&["out"])),
             ),
-            4 => ("econ_point", econ_point_body(ECON_PURITIES[(i / 6) % 4], 0)),
+            4 => ("econ_point", econ_point_body(ECON_PURITIES[(i / 6) % 4])),
             _ => (
                 "op",
                 Json::obj()
@@ -209,23 +209,19 @@ fn request_body(i: usize) -> (&'static str, String) {
 /// while keeping the set small enough that repeats land on warm keys.
 const ECON_PURITIES: [f64; 4] = [0.95, 0.99, 0.999, 0.9999];
 
-/// A single wafer-economics point on the `cnt28` preset: fixed-sample
-/// mode, so the cost is cheap and independent of the purity value.
-fn econ_point_body(purity: f64, seed: u64) -> Json {
+/// A single wafer-economics point on the `cnt28` preset.
+fn econ_point_body(purity: f64) -> Json {
     Json::obj()
         .push("kind", "econ_point")
         .push("node", "cnt28")
         .push("area_cm2", 1.0)
         .push("d0", 0.2)
         .push("purity", purity)
-        .push("devices", 512)
-        .push("seed", seed)
 }
 
 /// The schedule's small wafer-economics campaign: 2 nodes × 2 areas ×
-/// 2 defect densities × 3 purities = 24 cells at 128 devices each,
-/// negative-binomial clustering — enough to exercise the chunked grid
-/// path without dominating the mixed load's wall clock.
+/// 2 defect densities × 3 purities = 24 cells, negative-binomial
+/// clustering.
 fn econ_campaign_body() -> Json {
     Json::obj()
         .push("kind", "econ_campaign")
@@ -235,13 +231,11 @@ fn econ_campaign_body() -> Json {
         .push("purities", floats(&[0.95, 0.99, 0.999]))
         .push("yield_model", "negative_binomial")
         .push("alpha", 2.0)
-        .push("devices", 128)
-        .push("seed", 2014)
 }
 
 /// A parameter-varied job for the `repeat_frac` workload: every slot
 /// gets a distinct deck (the divider's upper resistor encodes the slot
-/// index) or, for the economics slot, a distinct RNG seed — so a
+/// index) or, for the economics slot, a distinct purity — so a
 /// non-repeat job can never accidentally share a cache key with
 /// another slot.
 fn unique_body(i: usize) -> (&'static str, Json) {
@@ -288,10 +282,7 @@ fn unique_body(i: usize) -> (&'static str, Json) {
                 .push("tstop", 1e-3)
                 .push("nodes", nodes(&["mid"])),
         ),
-        _ => (
-            "econ_point",
-            econ_point_body(ECON_PURITIES[i % 4], i as u64),
-        ),
+        _ => ("econ_point", econ_point_body(0.9 + i as f64 * 1e-9)),
     }
 }
 

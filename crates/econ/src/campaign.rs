@@ -1,6 +1,5 @@
 //! The campaign engine: a deterministic cartesian sweep over node ×
-//! area × defect density × purity, evaluated cell-parallel on the
-//! chunked executor.
+//! area × defect density × purity, every cell in closed form.
 //!
 //! # Grid ordering contract
 //!
@@ -10,21 +9,20 @@
 //! index = ((node_idx · |areas| + area_idx) · |d0| + d0_idx) · |purities| + purity_idx
 //! ```
 //!
-//! The contract is load-bearing twice over: cell `i` draws from RNG
-//! stream `i` of the campaign seed (so results are independent of
-//! thread count *and* of which other cells exist at higher indices),
-//! and clients index response arrays by it. Changing the order is a
+//! Clients index response arrays by it, so changing the order is a
 //! wire-format break.
 //!
 //! # Per-cell economics
 //!
-//! Each cell samples `devices` assembly sites through
-//! [`VariabilityModel`] at the cell's purity (Park-style high-density
-//! self-assembly, λ = 2.3). A device *fails only on a metallic short*
-//! — empty sites are opens the imperfection-immune design routes
-//! around — so the Monte-Carlo device yield estimates
-//! `e^(-λ(1-purity))`. From there:
+//! A device *fails only on a metallic short* — empty sites are opens
+//! the imperfection-immune design routes around. Under Park-style
+//! high-density self-assembly (Poisson(λ = 2.3) tubes per site) the
+//! short-free probability is exactly `e^(-λ(1-purity))`
+//! ([`SelfAssembly::short_free_probability`]); carbon-fab's
+//! [`carbon_fab::VariabilityModel`] sampler is kept as the test oracle
+//! for it. From there:
 //!
+//! * `device_yield    = e^(-λ(1-purity))`
 //! * `copies_per_die  = ⌊density · area / circuit_devices⌋`
 //! * `circuit_yield   = device_yield ^ circuit_devices`
 //! * `die_yield       = defect_yield(area, d0) · (1 - (1 - circuit_yield)^copies)`
@@ -37,26 +35,10 @@
 //! percentiles.
 
 use carbon_fab::stats;
-use carbon_fab::variability::yield_ci_half_width;
-use carbon_fab::{DeviceOutcome, SelfAssembly, VariabilityModel};
-use carbon_runtime::{cancel, Executor, Xoshiro256pp};
+use carbon_fab::SelfAssembly;
 
 use crate::node::{CostModel, NodeSpec};
 use crate::{EconError, YieldModel};
-
-/// Draws between cancellation polls inside one cell, so `timeout_ms`
-/// still fires inside a large cell.
-const CANCEL_POLL: u64 = 256;
-
-/// Threshold voltage mean/sigma and on-current median/log-sigma used
-/// for the purity Monte-Carlo. Fixed at the fab park-preset values:
-/// the econ axes care only about the short/empty classification, but
-/// sampling through the full [`VariabilityModel`] keeps the device
-/// statistics identical to the fig7 campaign's.
-const VT_MEAN: f64 = 0.35;
-const VT_SIGMA: f64 = 0.07;
-const ION_MEDIAN: f64 = 10e-6;
-const ION_SIGMA_LN: f64 = 0.4;
 
 /// The cartesian sweep axes, validated once at construction.
 #[derive(Debug, Clone, PartialEq)]
@@ -233,10 +215,6 @@ pub struct EconConfig {
     /// Devices per circuit copy (default: the 178-CNFET Shulaker
     /// computer).
     pub circuit_devices: u32,
-    /// Devices sampled per cell by the purity Monte-Carlo; at least 1.
-    pub devices: u64,
-    /// Campaign seed; cell `i` draws from stream `i` of this seed.
-    pub seed: u64,
 }
 
 impl Default for EconConfig {
@@ -245,8 +223,6 @@ impl Default for EconConfig {
             cost: CostModel::default(),
             yield_model: YieldModel::Poisson,
             circuit_devices: carbon_fab::CircuitYield::SHULAKER_COMPUTER_CNFETS,
-            devices: 2048,
-            seed: 0,
         }
     }
 }
@@ -256,21 +232,17 @@ impl EconConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`EconError::Invalid`] for a zero `circuit_devices` or
-    /// a zero `devices`.
+    /// Returns [`EconError::Invalid`] for a zero `circuit_devices`.
     pub fn validate(&self) -> Result<(), EconError> {
         if self.circuit_devices == 0 {
             return Err(EconError::invalid("econ.circuit_devices must be positive"));
-        }
-        if self.devices == 0 {
-            return Err(EconError::invalid("econ.devices must be positive"));
         }
         Ok(())
     }
 }
 
-/// One evaluated cell: its coordinates, the Monte-Carlo yield
-/// estimate, and the full cost accounting.
+/// One evaluated cell: its coordinates, the device yield, and the full
+/// cost accounting.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EconPoint {
     /// Cell index under the grid ordering contract.
@@ -283,13 +255,9 @@ pub struct EconPoint {
     pub d0: f64,
     /// Chirality purity.
     pub purity: f64,
-    /// Devices sampled ([`EconConfig::devices`]).
-    pub devices_sampled: u64,
-    /// Monte-Carlo device yield: fraction of sampled sites not
-    /// metallically shorted.
+    /// Device yield: the probability a site is not metallically
+    /// shorted, `e^(-λ(1-purity))`.
     pub device_yield: f64,
-    /// 95 % CI half-width of `device_yield`.
-    pub ci_half_width: f64,
     /// `device_yield ^ circuit_devices`.
     pub circuit_yield: f64,
     /// Analytic defect-limited die survival.
@@ -326,8 +294,6 @@ pub struct CampaignSummary {
     pub cells: u64,
     /// Cells expecting at least one good die per wafer.
     pub viable_cells: u64,
-    /// Devices sampled across the whole campaign.
-    pub devices_sampled: u64,
     /// 10th percentile of cost-per-good-die over viable cells
     /// (infinite when none are viable).
     pub cost_p10: f64,
@@ -351,9 +317,7 @@ impl CampaignResult {
         let mut costs: Vec<f64> = Vec::new();
         let mut carbons: Vec<f64> = Vec::new();
         let mut best: Option<(f64, u64)> = None;
-        let mut devices = 0u64;
         for p in &self.points {
-            devices += p.devices_sampled;
             if p.good_dies_per_wafer >= 1.0 {
                 costs.push(p.cost_per_good_die);
                 carbons.push(p.carbon_per_good_die);
@@ -381,7 +345,6 @@ impl CampaignResult {
         CampaignSummary {
             cells: self.points.len() as u64,
             viable_cells: costs.len() as u64,
-            devices_sampled: devices,
             cost_p10,
             cost_p50,
             cost_p90,
@@ -391,82 +354,40 @@ impl CampaignResult {
     }
 }
 
-/// Evaluates every cell of `grid` under `config`, cell-parallel over
-/// `ex` with one RNG stream per cell (`par_mc_fine`), so the result is
-/// byte-identical at any `CARBON_THREADS`.
+/// Evaluates every cell of `grid` under `config`, in grid order.
 ///
-/// Cancellation (the ambient [`carbon_runtime::cancel`] token, which
-/// the executor propagates into its workers) is polled every
-/// 256 draws; a cancelled campaign returns [`EconError::Cancelled`]
-/// rather than partial results, and cancellation never alters the
-/// values of cells that do complete.
+/// Every cell is closed-form arithmetic (a few hundred nanoseconds), so
+/// the cells are a plain serial map: a 100 000-cell campaign evaluates
+/// in milliseconds, and there is nothing to cancel or fan out.
 ///
 /// # Errors
 ///
-/// Returns [`EconError::Invalid`] if `config` fails validation, or
-/// [`EconError::Cancelled`] if evaluation was cancelled.
-pub fn evaluate(
-    ex: &Executor,
-    grid: &CampaignGrid,
-    config: &EconConfig,
-) -> Result<CampaignResult, EconError> {
+/// Returns [`EconError::Invalid`] if `config` fails validation.
+pub fn evaluate(grid: &CampaignGrid, config: &EconConfig) -> Result<CampaignResult, EconError> {
     config.validate()?;
-    let _span = carbon_trace::span!(
-        "econ.campaign",
-        "cells" = grid.len() as u64,
-        "seed" = config.seed,
-        "devices" = config.devices,
-    );
-    let cells: Vec<Result<EconPoint, EconError>> =
-        ex.par_mc_fine(config.seed, grid.len(), |index, rng| {
-            evaluate_cell(grid, config, index, rng)
-        });
-    let mut points = Vec::with_capacity(cells.len());
-    for cell in cells {
-        points.push(cell?);
-    }
+    let _span = carbon_trace::span!("econ.campaign", "cells" = grid.len() as u64);
+    let assembly = SelfAssembly::park_high_density();
+    let points = (0..grid.len())
+        .map(|index| evaluate_cell(grid, config, &assembly, index))
+        .collect();
     Ok(CampaignResult { points })
 }
 
-/// One cell: Monte-Carlo the purity axis on this cell's stream, then
-/// run the analytic cost accounting.
+/// One cell: the closed-form device yield at the cell's purity, then
+/// the analytic cost accounting.
 fn evaluate_cell(
     grid: &CampaignGrid,
     config: &EconConfig,
+    assembly: &SelfAssembly,
     index: usize,
-    rng: &mut Xoshiro256pp,
-) -> Result<EconPoint, EconError> {
+) -> EconPoint {
     let coords = grid.cell(index);
     let node = &grid.nodes()[coords.node_idx];
     let area = grid.areas_cm2()[coords.area_idx];
     let d0 = grid.d0()[coords.d0_idx];
     let purity = grid.purities()[coords.purity_idx];
 
-    let model = VariabilityModel::new(
-        SelfAssembly::park_high_density(),
-        purity,
-        VT_MEAN,
-        VT_SIGMA,
-        ION_MEDIAN,
-        ION_SIGMA_LN,
-    )
-    .expect("grid-validated purity with fixed vt/ion parameters");
-
-    // Cancellation aborts the campaign; it never changes a completed
-    // value.
-    let mut ok = 0u64;
-    for i in 0..config.devices {
-        if i % CANCEL_POLL == 0 && cancel::cancelled() {
-            return Err(EconError::Cancelled);
-        }
-        // Failure model: only a metallic short kills the device; empty
-        // sites are opens the design routes around.
-        if !matches!(model.sample_device(rng), DeviceOutcome::MetallicShort) {
-            ok += 1;
-        }
-    }
-    let device_yield = ok as f64 / config.devices as f64;
-
+    let device_yield = assembly.short_free_probability(purity);
     let circuit_yield =
         device_yield.powi(i32::try_from(config.circuit_devices).unwrap_or(i32::MAX));
     let defect_yield = config.yield_model.defect_yield(area, d0);
@@ -491,15 +412,13 @@ fn evaluate_cell(
         (f64::INFINITY, f64::INFINITY)
     };
 
-    Ok(EconPoint {
+    EconPoint {
         index: index as u64,
         node: node.name().to_owned(),
         area_cm2: area,
         d0,
         purity,
-        devices_sampled: config.devices,
         device_yield,
-        ci_half_width: yield_ci_half_width(ok as usize, config.devices as usize),
         circuit_yield,
         defect_yield,
         copies_per_die: copies,
@@ -509,14 +428,13 @@ fn evaluate_cell(
         working_circuits_per_wafer: working_circuits,
         cost_per_good_die,
         carbon_per_good_die,
-    })
+    }
 }
 
 #[cfg(test)]
 #[allow(clippy::float_cmp)] // tests assert exact sentinel values
 mod tests {
     use super::*;
-    use carbon_runtime::cancel::{self, CancelToken};
     use carbon_trace::collect::Collector;
 
     fn small_grid() -> CampaignGrid {
@@ -591,31 +509,29 @@ mod tests {
     }
 
     #[test]
-    fn results_are_bit_identical_across_thread_counts() {
+    fn device_yield_is_the_closed_form_and_the_cells_are_pinned() {
         let grid = small_grid();
-        let config = EconConfig {
-            devices: 512,
-            seed: 2014,
-            ..EconConfig::default()
-        };
-        let reference = evaluate(&Executor::with_threads(1), &grid, &config).unwrap();
-        for threads in [2, 4, 8] {
-            let got = evaluate(&Executor::with_threads(threads), &grid, &config).unwrap();
-            assert_eq!(got, reference, "drift at {threads} threads");
+        let result = evaluate(&grid, &EconConfig::default()).unwrap();
+        for p in &result.points {
+            let exact = (-2.3_f64 * (1.0 - p.purity)).exp();
+            assert_eq!(
+                p.device_yield.to_bits(),
+                exact.to_bits(),
+                "cell {} at purity {}",
+                p.index,
+                p.purity
+            );
         }
-        // Golden digest over every field's bits: the per-cell sampling
-        // loop must keep drawing the same stream in the same order.
+        // Golden digest over every field's bits.
         let mut h = carbon_json::Fnv::new();
-        for p in &reference.points {
+        for p in &result.points {
             h.write(&p.index.to_be_bytes());
             h.write(p.node.as_bytes());
-            for v in [p.area_cm2, p.d0, p.purity] {
-                h.write_f64(v);
-            }
-            h.write(&p.devices_sampled.to_be_bytes());
             for v in [
+                p.area_cm2,
+                p.d0,
+                p.purity,
                 p.device_yield,
-                p.ci_half_width,
                 p.circuit_yield,
                 p.defect_yield,
             ] {
@@ -633,28 +549,7 @@ mod tests {
                 h.write_f64(v);
             }
         }
-        assert_eq!(h.finish(), 0xe00b_6fac_0a74_200d);
-    }
-
-    #[test]
-    fn mc_yield_tracks_the_analytic_short_rate() {
-        // P(not short) = e^(-λ(1-p)) for Poisson site occupancy.
-        let grid = CampaignGrid::point(NodeSpec::preset("cnt90").unwrap(), 1.0, 0.1, 0.97).unwrap();
-        let config = EconConfig {
-            devices: 40_000,
-            seed: 7,
-            ..EconConfig::default()
-        };
-        let result = evaluate(&Executor::with_threads(4), &grid, &config).unwrap();
-        let p = &result.points[0];
-        let analytic = (-2.3_f64 * (1.0 - 0.97)).exp();
-        assert!(
-            (p.device_yield - analytic).abs() < 3.0 * p.ci_half_width,
-            "mc {} vs analytic {analytic} (ci {})",
-            p.device_yield,
-            p.ci_half_width
-        );
-        assert_eq!(p.devices_sampled, 40_000);
+        assert_eq!(h.finish(), 0x4b9a_66f0_6d67_74bd);
     }
 
     #[test]
@@ -668,12 +563,7 @@ mod tests {
             vec![0.9, 0.96, 0.999, 0.9999],
         )
         .unwrap();
-        let config = EconConfig {
-            devices: 4096,
-            seed: 1,
-            ..EconConfig::default()
-        };
-        let result = evaluate(&Executor::with_threads(2), &grid, &config).unwrap();
+        let result = evaluate(&grid, &EconConfig::default()).unwrap();
         let good: Vec<f64> = result
             .points
             .iter()
@@ -707,11 +597,7 @@ mod tests {
     fn zero_copy_dies_are_priced_infinite() {
         // cnt90 at 9e7/cm² over 1e-6 cm² → 90 transistors < 178.
         let grid = CampaignGrid::point(NodeSpec::preset("cnt90").unwrap(), 1e-6, 0.0, 1.0).unwrap();
-        let config = EconConfig {
-            devices: 64,
-            ..EconConfig::default()
-        };
-        let result = evaluate(&Executor::with_threads(1), &grid, &config).unwrap();
+        let result = evaluate(&grid, &EconConfig::default()).unwrap();
         let p = &result.points[0];
         assert_eq!(p.copies_per_die, 0);
         assert_eq!(p.good_dies_per_wafer, 0.0);
@@ -723,57 +609,33 @@ mod tests {
     }
 
     #[test]
-    fn campaign_runs_through_the_chunked_executor() {
-        // Trace evidence for the acceptance criterion: evaluation goes
-        // through `run_chunked` (one chunk per cell). Single-threaded
-        // executor so the thread-local collector sees the worker spans.
+    fn campaign_is_one_span_over_a_serial_map() {
+        // The `econ.campaign` span attributes the whole evaluation; the
+        // cells run inline, so no executor chunk spans appear.
         let collector = Collector::new();
         let grid = small_grid();
-        let config = EconConfig {
-            devices: 64,
-            ..EconConfig::default()
-        };
         carbon_trace::with_subscriber(collector.clone(), || {
-            evaluate(&Executor::with_threads(1), &grid, &config).unwrap();
+            evaluate(&grid, &EconConfig::default()).unwrap();
         });
-        let runs = collector.spans("runtime.run_chunked");
-        assert!(!runs.is_empty(), "no runtime.run_chunked spans recorded");
         assert_eq!(collector.spans("econ.campaign").len(), 1);
-        let chunks = collector.spans("runtime.chunk");
-        assert_eq!(chunks.len(), grid.len(), "one chunk per cell");
-    }
-
-    #[test]
-    fn cancellation_aborts_the_campaign() {
-        let grid = small_grid();
-        let config = EconConfig {
-            devices: 4096,
-            ..EconConfig::default()
-        };
-        let token = CancelToken::new();
-        token.cancel();
-        let result = cancel::scope(&token, || {
-            evaluate(&Executor::with_threads(2), &grid, &config)
-        });
-        assert_eq!(result, Err(EconError::Cancelled));
+        assert!(collector.spans("runtime.run_chunked").is_empty());
+        assert!(collector.spans("runtime.chunk").is_empty());
     }
 
     #[test]
     fn config_validation_names_fields() {
-        let bad_devices = EconConfig {
-            devices: 0,
-            ..EconConfig::default()
-        };
         let bad_circuit = EconConfig {
             circuit_devices: 0,
             ..EconConfig::default()
         };
-        for (config, needle) in [
-            (bad_devices, "econ.devices"),
-            (bad_circuit, "econ.circuit_devices"),
-        ] {
-            let reason = config.validate().expect_err("invalid accepted").to_string();
-            assert!(reason.contains(needle), "{reason:?} lacks {needle:?}");
-        }
+        let reason = bad_circuit
+            .validate()
+            .expect_err("invalid accepted")
+            .to_string();
+        assert!(reason.contains("econ.circuit_devices"), "{reason:?}");
+        assert_eq!(
+            evaluate(&small_grid(), &bad_circuit),
+            Err(EconError::invalid("econ.circuit_devices must be positive"))
+        );
     }
 }

@@ -8,20 +8,18 @@
 //! density × chirality purity in a fixed deterministic order, each
 //! cell combining
 //!
-//! * a Monte-Carlo purity axis — metallic-short probability sampled
-//!   through [`carbon_fab::VariabilityModel`] on a per-cell RNG stream,
+//! * a closed-form purity axis — the probability a Poisson-occupied
+//!   assembly site carries no metallic tube, `e^(-λ(1-purity))`
+//!   ([`carbon_fab::SelfAssembly::short_free_probability`]),
 //! * an analytic defect axis — Poisson `e^(-A·D0)` or clustered
 //!   negative-binomial `(1 + A·D0/α)^-α` die yield ([`YieldModel`]),
 //! * a per-node cost layer — transistor density, wafer cost, and
 //!   carbon-per-area ([`NodeSpec`] / [`CostModel`]),
 //!
 //! into good-dies-per-wafer, cost-per-good-die, and
-//! carbon-per-good-die ([`EconPoint`]). Evaluation runs cell-parallel
-//! over the deterministic chunked [`carbon_runtime::Executor`]
-//! (`par_mc_fine`: one RNG stream per cell), so a campaign is
-//! byte-identical at any `CARBON_THREADS`. Every cell samples the same
-//! fixed device count ([`EconConfig::devices`]) and reports its 95 %
-//! yield CI half-width next to the estimate.
+//! carbon-per-good-die ([`EconPoint`]). Every value is exact
+//! arithmetic, so [`evaluate`] is a serial map over the cells: no
+//! random numbers, no executor, and the same bits on every run.
 //!
 //! The **failure model** follows the paper's imperfection-immune
 //! framing: empty assembly sites are routed around (opens are
@@ -59,9 +57,6 @@ pub enum EconError {
         /// Human-readable description naming the field and value.
         reason: String,
     },
-    /// Evaluation was cancelled through the ambient
-    /// [`carbon_runtime::cancel`] token before every cell finished.
-    Cancelled,
 }
 
 impl EconError {
@@ -78,7 +73,6 @@ impl std::fmt::Display for EconError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Self::Invalid { reason } => f.write_str(reason),
-            Self::Cancelled => f.write_str("econ campaign cancelled"),
         }
     }
 }

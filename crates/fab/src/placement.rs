@@ -151,6 +151,14 @@ impl SelfAssembly {
         }
     }
 
+    /// Probability that a site carries no metallic tube when each tube
+    /// is semiconducting with probability `purity`: by Poisson thinning
+    /// the metallic count is Poisson(`λ·(1 − purity)`), so this is
+    /// exactly `e^(−λ·(1 − purity))`. Empty sites count as short-free.
+    pub fn short_free_probability(&self, purity: f64) -> f64 {
+        (-self.lambda * (1.0 - purity)).exp()
+    }
+
     /// Samples the tube count of one site.
     pub fn sample_site<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
         Poisson::new(self.lambda)

@@ -166,21 +166,6 @@ impl VariabilityModel {
     }
 }
 
-/// 95 % two-sided normal quantile used for the campaign yield CI.
-pub const Z95: f64 = 1.959_963_984_540_054;
-
-/// Normal-approximation half-width of the 95 % confidence interval on a
-/// yield estimate of `functional` successes out of `n` devices.
-/// Infinite for `n == 0`; zero when the observed yield is exactly 0 or
-/// 1 (degenerate binomial).
-pub fn yield_ci_half_width(functional: usize, n: usize) -> f64 {
-    if n == 0 {
-        return f64::INFINITY;
-    }
-    let p = functional as f64 / n as f64;
-    Z95 * (p * (1.0 - p) / n as f64).sqrt()
-}
-
 /// A measured array of devices with summary statistics.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DevicePopulation {
@@ -391,14 +376,26 @@ mod tests {
     }
 
     #[test]
-    fn ci_half_width_shrinks_with_n() {
-        assert_eq!(yield_ci_half_width(0, 0), f64::INFINITY);
-        assert_eq!(yield_ci_half_width(100, 100), 0.0);
-        let wide = yield_ci_half_width(870, 1000);
-        let tight = yield_ci_half_width(8700, 10_000);
-        assert!(wide > tight && tight > 0.0);
-        // Hand check: z·sqrt(0.87·0.13/1000).
-        assert!((wide - Z95 * (0.87 * 0.13 / 1000.0_f64).sqrt()).abs() < 1e-15);
+    fn mc_yield_tracks_the_analytic_short_rate() {
+        // The sampler is the oracle for the closed form carbon-econ
+        // uses: its short-free rate must sit within 3σ of e^(-λ(1-p)).
+        let assembly = SelfAssembly::park_high_density();
+        let n = 40_000;
+        for (seed, purity) in [0.9, 0.95, 0.97, 0.99, 1.0].into_iter().enumerate() {
+            let model =
+                VariabilityModel::new(assembly.clone(), purity, 0.35, 0.07, 10e-6, 0.4).unwrap();
+            let mut rng = Xoshiro256pp::seed_from_u64(seed as u64);
+            let short_free = (0..n)
+                .filter(|_| model.sample_device(&mut rng) != DeviceOutcome::MetallicShort)
+                .count();
+            let mc = short_free as f64 / f64::from(n);
+            let exact = assembly.short_free_probability(purity);
+            let sigma = (exact * (1.0 - exact) / f64::from(n)).sqrt();
+            assert!(
+                (mc - exact).abs() <= 3.0 * sigma,
+                "purity {purity}: mc {mc} vs exact {exact} (σ {sigma})"
+            );
+        }
     }
 
     #[test]

@@ -13,7 +13,8 @@
 //!   splice — byte-identical to a fresh solve by construction. The
 //!   byte budget is divided evenly across shards; inserting past a
 //!   shard's budget evicts least-recently-touched entries first, in a
-//!   deterministic order under single-thread replay.
+//!   deterministic order under single-thread replay. A response over
+//!   64 KiB is served but never stored.
 //!
 //! - **Single-flight.** The first request to miss on a key becomes the
 //!   *leader* and is queued for a worker to solve; concurrent requests
@@ -48,6 +49,14 @@ const SHARDS: usize = 16;
 /// the suffix length, approximating the map/LRU bookkeeping so many
 /// tiny entries cannot blow the budget by orders of magnitude.
 const ENTRY_OVERHEAD: u64 = 64;
+
+/// Largest entry the cache stores, overhead included. A bigger response
+/// is still published to its waiters but not kept: stored, a stream of
+/// distinct large responses (a 256-cell econ campaign renders ≈118 KB)
+/// would fill the whole budget with bodies that are never asked for
+/// again. Every circuit response of the benchmark workloads fits
+/// (the largest seen is ≈51 KB).
+const MAX_ENTRY_BYTES: u64 = 64 * 1024;
 
 /// One cached response: the response bytes after the `{"id":<id>`
 /// prefix, plus the entry's position in the shard's LRU order.
@@ -175,7 +184,8 @@ pub enum Lookup {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct InsertOutcome {
     /// Whether the suffix was stored (false when it alone exceeds a
-    /// shard's budget — waiters are still served from the flight).
+    /// shard's budget or the per-entry cap — waiters are still served
+    /// from the flight).
     pub inserted: bool,
     /// Bytes evicted (suffixes + overhead) to make room.
     pub evicted_bytes: u64,
@@ -312,8 +322,8 @@ impl ResponseCache {
     }
 
     /// Leader completion: removes the flight, publishes to waiters,
-    /// and (on `ok`) stores the suffix, evicting oldest-touched
-    /// entries until it fits.
+    /// and (on `ok`, within the per-entry cap) stores the suffix,
+    /// evicting oldest-touched entries until it fits.
     fn complete(&self, key: u64, flight: &Flight, outcome: Option<Vec<u8>>) -> InsertOutcome {
         use std::sync::atomic::Ordering;
         let mut result = InsertOutcome::default();
@@ -326,7 +336,7 @@ impl ResponseCache {
             shard.flights.remove(&key);
             if let Some(suffix) = outcome.as_ref() {
                 let cost = suffix.len() as u64 + ENTRY_OVERHEAD;
-                if cost <= self.shard_budget {
+                if cost <= self.shard_budget.min(MAX_ENTRY_BYTES) {
                     while shard.bytes + cost > self.shard_budget {
                         let (&victim_tick, &victim_key) =
                             shard.lru.iter().next().expect("bytes > 0 implies entries");
@@ -427,12 +437,31 @@ mod tests {
 
     #[test]
     fn oversized_value_is_served_but_not_stored() {
-        let cache = ResponseCache::new(16 * 4096);
-        let outcome = put(&cache, key(0), 5000); // 5064 > 4096 shard budget
-        assert!(!outcome.inserted);
-        assert_eq!(outcome.evicted_bytes, 0);
-        assert!(cache.peek(key(0)).is_none());
-        assert_eq!(cache.bytes(), 0);
+        // Over the 4096-byte shard budget, and under a 1 MiB shard
+        // budget but over the 64 KiB entry cap.
+        for (budget, len) in [(16 * 4096, 5000), (16 << 20, 70_000)] {
+            let cache = ResponseCache::new(budget);
+            put(&cache, key(1), 100);
+            let resident = cache.bytes();
+            let guard = match cache.begin(key(0)) {
+                Lookup::Lead(guard) => guard,
+                _ => panic!("first lookup leads"),
+            };
+            let flight = match cache.begin(key(0)) {
+                Lookup::Wait(flight) => flight,
+                _ => panic!("second lookup waits"),
+            };
+            let outcome = guard.complete_ok(vec![b'v'; len]);
+            assert!(!outcome.inserted, "{len} bytes stored");
+            assert_eq!(outcome.evicted_bytes, 0);
+            assert_eq!(outcome.resident_bytes, resident);
+            match flight.wait(None) {
+                WaitOutcome::Ready(suffix) => assert_eq!(suffix.len(), len),
+                _ => panic!("waiter sees the leader's bytes"),
+            }
+            assert!(cache.peek(key(0)).is_none());
+            assert_eq!(cache.bytes(), resident);
+        }
     }
 
     #[test]

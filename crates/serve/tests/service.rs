@@ -31,13 +31,15 @@ fn status(response: &Json) -> String {
         .to_owned()
 }
 
-/// A ~200 000-step transient: slow enough to hold a worker while a test
-/// saturates the queue. Each `variant` gets its own `R1`, hence its own
-/// cache key, so every slow request needs a queue slot of its own
+/// A 90 000-step transient of a four-stage RC ladder (under the
+/// 100 000-step admission budget): slow enough to hold a worker while a
+/// test saturates the queue. Each `variant` gets its own `R1`, hence its
+/// own cache key, so every slow request needs a queue slot of its own
 /// (identical decks would coalesce onto one solve instead).
 fn slow_transient(variant: usize) -> Json {
     let deck = format!(
-        "* rc low-pass\nV1 in 0 1\nR1 in out {}\nC1 out 0 1u\n.end\n",
+        "* rc ladder\nV1 in 0 1\nR1 in a {}\nC1 a 0 1u\nR2 a b 1k\nC2 b 0 1u\n\
+         R3 b c 1k\nC3 c 0 1u\nR4 c out 1k\nC4 out 0 1u\n.end\n",
         1000 + variant
     );
     Json::obj().push("id", "slow").push(
@@ -46,7 +48,7 @@ fn slow_transient(variant: usize) -> Json {
             .push("kind", "transient")
             .push("deck", deck)
             .push("tstep", 1e-8)
-            .push("tstop", 2e-3)
+            .push("tstop", 9e-4)
             .push("nodes", nodes(&["out"])),
     )
 }
@@ -274,8 +276,8 @@ fn invalid_requests_get_structured_errors_and_the_connection_survives() {
 fn deadline_produces_a_timeout_response() {
     let server = start(1, 4);
     let mut client = Client::connect(server.local_addr()).unwrap();
-    // ~10^6 transient steps would take seconds; the 5 ms deadline fires
-    // at a per-step checkpoint long before that.
+    // 90 000 transient steps take tens of milliseconds; the 5 ms
+    // deadline fires at a per-step checkpoint long before that.
     let response = client
         .call(
             &Json::obj().push("id", "slow").push("timeout_ms", 5).push(
@@ -283,8 +285,8 @@ fn deadline_produces_a_timeout_response() {
                 Json::obj()
                     .push("kind", "transient")
                     .push("deck", RC_DECK)
-                    .push("tstep", 1e-9)
-                    .push("tstop", 1e-3)
+                    .push("tstep", 1e-8)
+                    .push("tstop", 9e-4)
                     .push("nodes", nodes(&["out"])),
             ),
         )
