@@ -19,6 +19,9 @@ run cargo fmt --all -- --check
 run cargo clippy --workspace --all-targets --offline -- -D warnings
 run cargo build --workspace --release --offline
 run cargo test --workspace -q --offline
+# The float writer's 10^7-pattern sweep against `{:?}` (Tier-1 runs
+# 10^6 of them in debug); release keeps it to seconds.
+run cargo test --release -q --offline -p carbon-json -- --ignored
 # Bench targets in run-once smoke mode: keeps the three harness=false
 # binaries compiling and their workloads alive without paying
 # measurement cost.
@@ -269,14 +272,14 @@ grep -q '"id":"trace/econ.campaign/dur_ns"' "$trace_dir/econ-summary.jsonl" \
   || { echo "trace summary missing econ.campaign spans"; exit 1; }
 
 # Opt-in benchmark regression gate: measure the solver, transient,
-# device-batch, and econ groups for real and diff them against the
+# device-batch, econ, and json groups for real and diff them against the
 # committed baselines, failing on >10 % median regressions. Off by
 # default — timings are only meaningful on a quiet machine. Regenerate
 # a baseline with:
 #   cargo bench --offline -p carbon-bench --bench <group>
 #   cp target/carbon-bench/<group>.jsonl benches/baseline/<group>.jsonl
 if [[ "${CARBON_BENCH_COMPARE:-0}" == "1" ]]; then
-  for group in solver tran device_batch econ; do
+  for group in solver tran device_batch econ json; do
     run cargo bench --offline -p carbon-bench --bench "$group"
     run cargo run --offline --release -p carbon-bench --bin carbon-bench -- \
       compare "benches/baseline/$group.jsonl" "target/carbon-bench/$group.jsonl"

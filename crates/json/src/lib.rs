@@ -30,7 +30,7 @@
     clippy::cast_precision_loss
 )]
 
-use std::fmt::Write as _;
+mod num;
 
 /// Maximum nesting depth [`Json::parse`] accepts.
 const MAX_DEPTH: usize = 96;
@@ -45,29 +45,42 @@ pub fn escape(s: &str) -> String {
     out
 }
 
-/// Appends the escaped form of `s` (no quotes) to `out`.
+/// Appends the escaped form of `s` (no quotes) to `out`. Runs of bytes
+/// that need no escape are copied whole, so a plain key or value is a
+/// single `push_str`.
 pub fn push_escaped(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let mut plain = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        // Only ASCII bytes end a run, so `plain..i` is on char bounds.
+        out.push_str(&s[plain..i]);
+        plain = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                out.push_str("\\u00");
+                out.push(char::from(HEX[usize::from(b >> 4)]));
+                out.push(char::from(HEX[usize::from(b & 0xf)]));
             }
-            c => out.push(c),
         }
     }
+    out.push_str(&s[plain..]);
 }
 
 /// Appends `v` as a JSON number, or `null` when it is not finite —
 /// NaN and infinities have no JSON representation, and an invalid
-/// literal would poison the whole line. Finite values use Rust's
-/// shortest round-trip formatting, so `parse(render(v)) == v`.
+/// literal would poison the whole line. Finite values are written as
+/// the shortest digits that round-trip, so `parse(render(v)) == v`,
+/// byte-identical to `format!("{v:?}")`.
 pub fn write_f64(out: &mut String, v: f64) {
     if v.is_finite() {
-        let _ = write!(out, "{v:?}");
+        num::write_finite(out, v);
     } else {
         out.push_str("null");
     }
@@ -288,12 +301,8 @@ impl Json {
     pub fn render_into(&self, out: &mut String) {
         match self {
             Self::Null => out.push_str("null"),
-            Self::Bool(b) => {
-                let _ = write!(out, "{b}");
-            }
-            Self::Int(v) => {
-                let _ = write!(out, "{v}");
-            }
+            Self::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Self::Int(v) => num::write_i64(out, *v),
             Self::Num(v) => write_f64(out, *v),
             Self::Str(s) => {
                 out.push('"');

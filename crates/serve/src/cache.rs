@@ -11,6 +11,9 @@
 //!   field). The cached value is the exact response byte frame *minus*
 //!   the `{"id":<id>` prefix, so serving a hit is a memcpy plus an id
 //!   splice — byte-identical to a fresh solve by construction. The
+//!   stored bytes are one shared [`Suffix`]: the entry, the flight and
+//!   every hit or waiter hold the same allocation, and the only copy a
+//!   hit makes is its splice into the response, outside the lock. The
 //!   byte budget is divided evenly across shards; inserting past a
 //!   shard's budget evicts least-recently-touched entries first, in a
 //!   deterministic order under single-thread replay. A response over
@@ -58,10 +61,15 @@ const ENTRY_OVERHEAD: u64 = 64;
 /// (the largest seen is ≈51 KB).
 const MAX_ENTRY_BYTES: u64 = 64 * 1024;
 
-/// One cached response: the response bytes after the `{"id":<id>`
-/// prefix, plus the entry's position in the shard's LRU order.
+/// The bytes of an `ok` response after its `{"id":<id>` prefix,
+/// shared between the cache entry, the leader's flight and every
+/// request it answers.
+pub type Suffix = Arc<Vec<u8>>;
+
+/// One cached response: its suffix, plus the entry's position in the
+/// shard's LRU order.
 struct Entry {
-    suffix: Vec<u8>,
+    suffix: Suffix,
     tick: u64,
 }
 
@@ -99,7 +107,7 @@ impl Shard {
 /// once it published a cacheable `ok` response, and `Some(None)` if it
 /// failed (error, timeout, or panic via the guard's `Drop`).
 pub struct Flight {
-    state: Mutex<Option<Option<Vec<u8>>>>,
+    state: Mutex<Option<Option<Suffix>>>,
     ready: Condvar,
 }
 
@@ -111,7 +119,7 @@ impl Flight {
         }
     }
 
-    fn publish(&self, outcome: Option<Vec<u8>>) {
+    fn publish(&self, outcome: Option<Suffix>) {
         let mut state = self
             .state
             .lock()
@@ -130,7 +138,7 @@ impl Flight {
         loop {
             if let Some(outcome) = state.as_ref() {
                 return match outcome {
-                    Some(suffix) => WaitOutcome::Ready(suffix.clone()),
+                    Some(suffix) => WaitOutcome::Ready(Arc::clone(suffix)),
                     None => WaitOutcome::LeaderFailed,
                 };
             }
@@ -161,7 +169,7 @@ impl Flight {
 pub enum WaitOutcome {
     /// The leader produced an `ok` response; these are its bytes after
     /// the id prefix, ready to splice.
-    Ready(Vec<u8>),
+    Ready(Suffix),
     /// The leader failed; retry the lookup (the retrier may become the
     /// new leader).
     LeaderFailed,
@@ -172,7 +180,7 @@ pub enum WaitOutcome {
 /// Result of a cache lookup for one request.
 pub enum Lookup {
     /// Cached: the response bytes after the id prefix.
-    Hit(Vec<u8>),
+    Hit(Suffix),
     /// This request leads the key: solve it, then resolve the guard
     /// with [`FlightGuard::complete_ok`] or [`FlightGuard::fail`].
     Lead(FlightGuard),
@@ -206,10 +214,11 @@ pub struct FlightGuard {
 
 impl FlightGuard {
     /// Publishes an `ok` response's suffix to waiters and stores it in
-    /// the LRU (evicting as needed).
+    /// the LRU (evicting as needed). The bytes are moved, not copied.
     pub fn complete_ok(mut self, suffix: Vec<u8>) -> InsertOutcome {
         self.armed = false;
-        self.cache.complete(self.key, &self.flight, Some(suffix))
+        self.cache
+            .complete(self.key, &self.flight, Some(Arc::new(suffix)))
     }
 
     /// Publishes failure: waiters retry the lookup, nothing is cached.
@@ -269,7 +278,7 @@ impl ResponseCache {
             let tick = shard.tick;
             let entry = shard.entries.get_mut(&key).expect("checked above");
             let old_tick = std::mem::replace(&mut entry.tick, tick);
-            let suffix = entry.suffix.clone();
+            let suffix = Arc::clone(&entry.suffix);
             shard.lru.remove(&old_tick);
             shard.lru.insert(tick, key);
             return Lookup::Hit(suffix);
@@ -289,12 +298,12 @@ impl ResponseCache {
 
     /// Read-only probe: is `key` resident? Does *not* refresh LRU order
     /// or interact with flights — for stats and tests only.
-    pub fn peek(&self, key: u64) -> Option<Vec<u8>> {
+    pub fn peek(&self, key: u64) -> Option<Suffix> {
         let shard = self
             .shard(key)
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        shard.entries.get(&key).map(|e| e.suffix.clone())
+        shard.entries.get(&key).map(|e| Arc::clone(&e.suffix))
     }
 
     /// Bytes currently charged across all shards (suffixes + fixed
@@ -324,7 +333,7 @@ impl ResponseCache {
     /// Leader completion: removes the flight, publishes to waiters,
     /// and (on `ok`, within the per-entry cap) stores the suffix,
     /// evicting oldest-touched entries until it fits.
-    fn complete(&self, key: u64, flight: &Flight, outcome: Option<Vec<u8>>) -> InsertOutcome {
+    fn complete(&self, key: u64, flight: &Flight, outcome: Option<Suffix>) -> InsertOutcome {
         use std::sync::atomic::Ordering;
         let mut result = InsertOutcome::default();
         {
@@ -355,7 +364,7 @@ impl ResponseCache {
                     shard.entries.insert(
                         key,
                         Entry {
-                            suffix: suffix.clone(),
+                            suffix: Arc::clone(suffix),
                             tick,
                         },
                     );
@@ -402,7 +411,7 @@ mod tests {
         assert!(outcome.inserted);
         assert_eq!(outcome.evicted_bytes, 0);
         match cache.begin(key(0)) {
-            Lookup::Hit(suffix) => assert_eq!(suffix, vec![b'v'; 100]),
+            Lookup::Hit(suffix) => assert_eq!(*suffix, vec![b'v'; 100]),
             _ => panic!("expected a hit"),
         }
         assert_eq!(cache.len(), 1);
@@ -477,7 +486,7 @@ mod tests {
         };
         guard.complete_ok(b"suffix".to_vec());
         match flight.wait(None) {
-            WaitOutcome::Ready(suffix) => assert_eq!(suffix, b"suffix"),
+            WaitOutcome::Ready(suffix) => assert_eq!(suffix.as_slice(), b"suffix"),
             _ => panic!("waiter sees the leader's bytes"),
         }
         assert!(matches!(cache.begin(key(7)), Lookup::Hit(_)));

@@ -71,10 +71,14 @@ pub const QUEUED_JOB_KINDS: [&str; 9] = [
 ];
 
 /// Largest accepted sweep, points: AC frequencies, DC sweep values and
-/// fixed-step transient steps. Each count is estimated from the request
-/// before anything is allocated, so one request cannot demand unbounded
-/// work or memory.
-pub const MAX_SWEEP_POINTS: usize = 100_000;
+/// transient steps. Each count is estimated from the request before
+/// anything is allocated (`tstop / tstep` fixed steps, `tstop /
+/// max_step` adaptive ones), so one request cannot demand unbounded
+/// work or memory. The adaptive controller, which may shrink its step
+/// below `max_step`, also stops with an error once its accepted plus
+/// rejected steps reach this count
+/// ([`carbon_spice::MAX_ADAPTIVE_STEPS`], the same number).
+pub const MAX_SWEEP_POINTS: usize = carbon_spice::MAX_ADAPTIVE_STEPS;
 
 /// Largest accepted econ campaign grid, cells.
 pub const MAX_ECON_CELLS: usize = 100_000;
@@ -369,13 +373,23 @@ impl Job {
                 let circuit = deck_field(job)?;
                 let options = tran_options_fields(job)?;
                 // The fixed grid has tstop / tstep steps; the adaptive
-                // controller picks its own.
+                // controller takes at least tstop / max_step.
                 let steps = tstop / tstep;
                 if options.method == TranMethod::FixedStep && steps >= MAX_SWEEP_POINTS as f64 {
                     return Err(JobError::invalid(format!(
                         "job.tstep = {tstep} gives about {steps:.0} fixed steps up to \
                          job.tstop = {tstop}, more than the maximum {MAX_SWEEP_POINTS}"
                     )));
+                }
+                if let Some(max_step) = options.max_step {
+                    let steps = tstop / max_step;
+                    if !steps.is_finite() || steps >= MAX_SWEEP_POINTS as f64 {
+                        return Err(JobError::invalid(format!(
+                            "job.options.max_step = {max_step} needs at least {steps:.0} \
+                             adaptive steps up to job.tstop = {tstop}, more than the maximum \
+                             {MAX_SWEEP_POINTS}"
+                        )));
+                    }
                 }
                 let nodes = nodes_field(job, &circuit)?;
                 Ok(Self::Transient {
@@ -991,6 +1005,20 @@ mod tests {
                 "{\"kind\":\"transient\",\"deck\":\"V1 a 0 1\",\"tstep\":1e-12,\
                  \"tstop\":1,\"nodes\":[\"a\"]}",
                 "job.tstep",
+            ),
+            // Adaptive budget: max_step floors the step count at 10^9,
+            // and at infinity for the smallest subnormal.
+            (
+                "{\"kind\":\"transient\",\"deck\":\"V1 a 0 1\",\"tstep\":1e-6,\
+                 \"tstop\":1,\"method\":\"adaptive\",\"options\":{\"max_step\":1e-9},\
+                 \"nodes\":[\"a\"]}",
+                "job.options.max_step",
+            ),
+            (
+                "{\"kind\":\"transient\",\"deck\":\"V1 a 0 1\",\"tstep\":1e-6,\
+                 \"tstop\":1,\"method\":\"adaptive\",\"options\":{\"max_step\":5e-324},\
+                 \"nodes\":[\"a\"]}",
+                "job.options.max_step",
             ),
         ];
         for (body, expected_field) in cases {

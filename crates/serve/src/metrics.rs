@@ -36,8 +36,11 @@ pub(crate) struct ServeMetrics {
     pub timed_out: Arc<Counter>,
     /// Jobs that ran to an `ok` response.
     pub completed: Arc<Counter>,
-    /// Admitted jobs that failed in execution.
+    /// Admitted jobs that failed in execution, panics included.
     pub errored: Arc<Counter>,
+    /// Jobs whose execution panicked; each is also counted in
+    /// `errored`, and its worker lives on.
+    pub panics: Arc<Counter>,
     /// Frames that were not request envelopes.
     pub protocol_errors: Arc<Counter>,
     /// Envelopes whose request failed validation.
@@ -93,6 +96,7 @@ impl ServeMetrics {
             timed_out: registry.counter("serve.timed_out"),
             completed: registry.counter("serve.completed"),
             errored: registry.counter("serve.errored"),
+            panics: registry.counter("serve.panics"),
             protocol_errors: registry.counter("serve.protocol_errors"),
             validation_errors: registry.counter("serve.validation_errors"),
             ping: registry.counter("serve.ping"),
@@ -176,6 +180,7 @@ impl ServeMetrics {
             timed_out: self.timed_out.total(),
             completed: self.completed.total(),
             errored: self.errored.total(),
+            panics: self.panics.total(),
             protocol_errors: self.protocol_errors.total(),
             validation_errors: self.validation_errors.total(),
             cache_hits: self.cache_hit.total(),

@@ -41,7 +41,8 @@
 //! (or the server default); solver checkpoints inside carbon-spice turn
 //! an expired deadline into a `timeout` response between Newton
 //! iterations or sweep points. A waiter's deadline applies to its wait
-//! in the same way.
+//! in the same way. A job that panics is caught on its worker and
+//! answered `error` with stage `panic`; the worker keeps serving.
 //!
 //! # Shutdown
 //!
@@ -52,16 +53,17 @@
 
 use std::io::Read;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::SyncSender;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use carbon_json::Json;
+use carbon_json::{push_escaped, Json};
 use carbon_runtime::CancelToken;
 
-use crate::cache::{FlightGuard, Lookup, ResponseCache, WaitOutcome};
+use crate::cache::{FlightGuard, Lookup, ResponseCache, Suffix, WaitOutcome};
 use crate::job::{Job, JobError};
 use crate::metrics::ServeMetrics;
 use crate::protocol::{write_frame, FrameError, MAX_FRAME_LEN};
@@ -129,8 +131,12 @@ pub struct ServerStats {
     /// Jobs that answered `ok` — freshly solved or served from the
     /// response cache.
     pub completed: u64,
-    /// Admitted jobs that failed in execution (`exec` error responses).
+    /// Admitted jobs that failed in execution: `exec` error responses,
+    /// and `panic` ones.
     pub errored: u64,
+    /// Jobs whose execution panicked (a subset of `errored`). The
+    /// panic is caught on the worker, which keeps serving.
+    pub panics: u64,
     /// Frames that were not UTF-8, not JSON, or had no scalar `id`.
     pub protocol_errors: u64,
     /// Envelopes with an invalid `timeout_ms` or `job`.
@@ -511,7 +517,7 @@ fn dispatch(id: Json, job: Job, key: u64, timeout_ms: Option<u64>, shared: &Shar
 fn answer_without_worker(
     id: &Json,
     kind: &'static str,
-    cached: Option<Vec<u8>>,
+    cached: Option<Suffix>,
     classified: Instant,
     metrics: &ServeMetrics,
 ) -> Vec<u8> {
@@ -580,10 +586,16 @@ fn worker_loop(queue: &Bounded<Ticket>, metrics: &ServeMetrics) {
             None => CancelToken::new(),
         };
         let exec_started = Instant::now();
-        let outcome = carbon_runtime::cancel::scope(&token, || job.run());
+        // A panic is contained to its job: the worker answers it and
+        // lives on, so no input can shrink the pool.
+        let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            #[cfg(test)]
+            tests::inject_panic(&id);
+            carbon_runtime::cancel::scope(&token, || job.run())
+        }));
         metrics.worker_busy_ns.add(nanos_since(exec_started));
         let (status, response) = match outcome {
-            Ok(result) => {
+            Ok(Ok(result)) => {
                 metrics.completed.incr();
                 let response = ok_response(&id, kind, &result);
                 // Only `ok` responses enter the cache: the stored value
@@ -605,17 +617,28 @@ fn worker_loop(queue: &Bounded<Ticket>, metrics: &ServeMetrics) {
                 }
                 ("ok", response)
             }
-            Err(JobError::Cancelled { message }) => {
+            Ok(Err(JobError::Cancelled { message })) => {
                 metrics.timed_out.incr();
                 ("timeout", timeout_response(&id, kind, &message))
             }
-            Err(e) => {
+            Ok(Err(e)) => {
                 metrics.errored.incr();
                 ("error", error_response(&id, "exec", &e.to_string()))
             }
+            Err(payload) => {
+                metrics.panics.incr();
+                metrics.errored.incr();
+                let message = payload
+                    .downcast_ref::<&str>()
+                    .copied()
+                    .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+                    .unwrap_or("non-string panic payload");
+                let message = format!("{kind} job panicked: {message}");
+                ("error", error_response(&id, "panic", &message))
+            }
         };
-        // A failed leader (timeout/error) publishes failure so waiters
-        // retry; nothing is cached.
+        // A failed leader (timeout/error/panic) publishes failure so
+        // waiters retry; nothing is cached.
         if let Some(guard) = guard {
             guard.fail();
         }
@@ -654,14 +677,20 @@ fn splice_cached(id: &Json, suffix: &[u8]) -> Vec<u8> {
     out
 }
 
+/// The `ok` envelope, written field by field in the order
+/// `{"id","status","kind","result"}` and byte-identical to rendering
+/// that object as a [`Json`] tree, without building (or cloning the
+/// result into) one.
 fn ok_response(id: &Json, kind: &str, result: &Json) -> Vec<u8> {
-    Json::obj()
-        .push("id", id.clone())
-        .push("status", "ok")
-        .push("kind", kind)
-        .push("result", result.clone())
-        .render()
-        .into_bytes()
+    let mut out = String::with_capacity(64);
+    out.push_str("{\"id\":");
+    id.render_into(&mut out);
+    out.push_str(",\"status\":\"ok\",\"kind\":\"");
+    push_escaped(&mut out, kind);
+    out.push_str("\",\"result\":");
+    result.render_into(&mut out);
+    out.push('}');
+    out.into_bytes()
 }
 
 fn error_response(id: &Json, stage: &str, message: &str) -> Vec<u8> {
@@ -764,4 +793,74 @@ fn read_frame_interruptible(
         }
     }
     Ok(Some(body))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::Client;
+
+    /// Requests with this id panic inside the worker's contained
+    /// region, standing in for a solver bug.
+    const PANIC_ID: &str = "inject-panic";
+
+    pub(super) fn inject_panic(id: &Json) {
+        if id.as_str() == Some(PANIC_ID) {
+            panic!("injected by the containment test");
+        }
+    }
+
+    fn op_request(id: &str) -> Json {
+        Json::obj().push("id", id).push(
+            "job",
+            Json::obj()
+                .push("kind", "op")
+                .push("deck", "V1 in 0 1\nR1 in out 1k\nR2 out 0 1k\n")
+                .push("nodes", Json::Arr(vec![Json::from("out")])),
+        )
+    }
+
+    #[test]
+    fn a_panicking_job_is_answered_once_and_its_worker_survives() {
+        // One worker: had the panic killed it, nothing would answer the
+        // requests that follow.
+        let server = Server::start(
+            "127.0.0.1:0",
+            ServerConfig {
+                workers: 1,
+                queue_depth: 4,
+                ..ServerConfig::default()
+            },
+        )
+        .expect("bind loopback");
+        let mut client = Client::connect(server.local_addr()).expect("connect");
+        let response = client.call(&op_request(PANIC_ID)).expect("a response");
+        assert_eq!(response.get("id").and_then(Json::as_str), Some(PANIC_ID));
+        assert_eq!(response.get("status").and_then(Json::as_str), Some("error"));
+        assert_eq!(response.get("stage").and_then(Json::as_str), Some("panic"));
+        let message = response.get("message").and_then(Json::as_str).unwrap();
+        assert!(message.contains("injected"), "{message}");
+        // The connection reads one frame per request, so the next frame
+        // answering the next id shows the panic produced exactly one
+        // response. The failed flight stored nothing, so the same deck
+        // is solved again by the one worker, which survived; the third
+        // request is a hit on what that solve stored.
+        for id in ["after-1", "after-2"] {
+            let response = client
+                .call(&op_request(id))
+                .expect("the pool still answers");
+            assert_eq!(response.get("id").and_then(Json::as_str), Some(id));
+            assert_eq!(response.get("status").and_then(Json::as_str), Some("ok"));
+        }
+        drop(client);
+        let stats = server.shutdown();
+        assert_eq!(stats.panics, 1);
+        assert_eq!(stats.errored, 1);
+        assert_eq!(stats.completed, 2);
+        assert_eq!(stats.accepted, 3);
+        assert_eq!(
+            stats.accepted,
+            stats.completed + stats.errored + stats.timed_out
+        );
+    }
 }

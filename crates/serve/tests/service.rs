@@ -607,3 +607,110 @@ fn graceful_drain_answers_every_admitted_job() {
     assert_eq!(stats.protocol_errors, 0);
     assert_eq!(stats.validation_errors, 0);
 }
+
+/// The server writes the `ok` envelope straight into its buffer; its
+/// bytes must equal rendering the envelope as a `Json` tree — the
+/// oracle a client rebuilding the response from an in-process run
+/// would use. Covers every queued kind, econ cells whose costs render
+/// `null`, an id that needs escaping and a negative-zero id.
+#[test]
+fn ok_envelope_bytes_equal_the_tree_render() {
+    let server = start(2, 16);
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let floats = |values: &[f64]| Json::Arr(values.iter().map(|&v| Json::Num(v)).collect());
+    let jobs = [
+        Json::obj()
+            .push("kind", "op")
+            .push("deck", RC_DECK)
+            .push("nodes", nodes(&["in", "out"])),
+        Json::obj()
+            .push("kind", "dc_sweep")
+            .push("deck", RC_DECK)
+            .push("source", "V1")
+            .push("from", -1.0)
+            .push("to", 1.0)
+            .push("step", 0.25)
+            .push("nodes", nodes(&["out", "0"])),
+        Json::obj()
+            .push("kind", "ac_sweep")
+            .push("deck", RC_DECK)
+            .push("source", "V1")
+            .push("fstart", 1.0)
+            .push("fstop", 1e6)
+            .push("points_per_decade", 7)
+            .push("nodes", nodes(&["out"])),
+        Json::obj()
+            .push("kind", "transient")
+            .push("deck", RC_DECK)
+            .push("tstep", 1e-5)
+            .push("tstop", 1e-3)
+            .push("nodes", nodes(&["out"])),
+        Json::obj()
+            .push("kind", "transient")
+            .push("deck", RC_DECK)
+            .push("tstep", 1e-5)
+            .push("tstop", 1e-3)
+            .push("method", "adaptive")
+            .push("nodes", nodes(&["out"])),
+        Json::obj().push("kind", "fig2"),
+        Json::obj().push("kind", "fig5"),
+        Json::obj().push("kind", "fig7"),
+        Json::obj()
+            .push("kind", "econ_point")
+            .push("node", "cnt28")
+            .push("area_cm2", 1.0)
+            .push("d0", 0.2)
+            .push("purity", 0.999),
+        // A 1e-6 cm² cnt90 die holds no circuit copy, so it yields no
+        // good die: those cells' costs are infinite and render `null`.
+        Json::obj()
+            .push("kind", "econ_campaign")
+            .push("nodes", nodes(&["cnt90", "cnt28"]))
+            .push("areas_cm2", floats(&[1e-6, 0.5]))
+            .push("d0", floats(&[0.1, 2.0]))
+            .push("purities", floats(&[0.5, 0.9, 0.999, 1.0])),
+    ];
+    let ids = [
+        Json::from("quote\" backslash\\ newline\n tab\t bell\u{7} µ"),
+        Json::Num(-0.0),
+        Json::Int(-42),
+    ];
+    let mut saw_null_cost = false;
+    for (i, job) in jobs.iter().enumerate() {
+        let (kind, result) = {
+            let job = carbon_serve::Job::from_json(job).unwrap();
+            (job.kind(), job.run().unwrap())
+        };
+        // The first id solves; the others are served from the cache,
+        // whose stored suffix must splice back to the same bytes.
+        for id in &ids {
+            let request = Json::obj().push("id", id.clone()).push("job", job.clone());
+            let served = client.call_raw(request.render().as_bytes()).unwrap();
+            let oracle = Json::obj()
+                .push("id", id.clone())
+                .push("status", "ok")
+                .push("kind", kind)
+                .push("result", result.clone())
+                .render();
+            assert_eq!(
+                String::from_utf8(served).unwrap(),
+                oracle,
+                "job {i} ({kind}) under id {}",
+                id.render()
+            );
+        }
+        if kind == "econ_campaign" {
+            let points = result.get("points").and_then(Json::as_array).unwrap();
+            saw_null_cost = points.iter().any(|p| {
+                p.get("cost_per_good_die")
+                    .and_then(Json::as_f64)
+                    .is_some_and(|cost| !cost.is_finite())
+            });
+        }
+    }
+    assert!(saw_null_cost, "the campaign must include a null-cost cell");
+    assert_eq!(ids[1].render(), "-0.0");
+    drop(client);
+    let stats = server.shutdown();
+    assert_eq!(stats.completed, (jobs.len() * ids.len()) as u64);
+}

@@ -35,7 +35,7 @@ use carbon_trace::{instant, span};
 pub(crate) use engine::{
     newton_solve, CapCompanion, IndCompanion, MnaWorkspace, NameTable, NewtonOptions, SolverCache,
 };
-pub use transient::{TranMethod, TranOptions, TranResult};
+pub use transient::{TranMethod, TranOptions, TranResult, MAX_ADAPTIVE_STEPS};
 
 /// Solution of a DC operating point.
 #[derive(Debug, Clone)]

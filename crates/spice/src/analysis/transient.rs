@@ -64,6 +64,14 @@ impl TranMethod {
     }
 }
 
+/// Most steps, accepted plus rejected, the adaptive controller takes
+/// before reporting [`SpiceError::StepBudgetExceeded`]. It bounds the
+/// work and the stored samples of a horizon whose step floor alone
+/// would allow up to `tstop / min_step` (by default 10¹²) steps. Equal
+/// to the job service's sweep budget, so a served job's allocation is
+/// sized by that budget.
+pub const MAX_ADAPTIVE_STEPS: usize = 100_000;
+
 /// Tuning knobs for [`Circuit::transient_with`].
 ///
 /// The defaults select [`TranMethod::FixedStep`], which preserves the
@@ -318,8 +326,9 @@ impl Circuit {
     /// As [`transient`](Self::transient); the adaptive method
     /// additionally reports [`SpiceError::TimestepCollapsed`] when the
     /// step controller halves below `min_step` without an accepted
-    /// step, and [`SpiceError::InvalidSweep`] for non-finite or
-    /// non-positive LTE tolerances and step bounds.
+    /// step, [`SpiceError::StepBudgetExceeded`] after
+    /// [`MAX_ADAPTIVE_STEPS`] steps, and [`SpiceError::InvalidSweep`]
+    /// for non-finite or non-positive LTE tolerances and step bounds.
     pub fn transient_with(
         &self,
         tstep: f64,
@@ -605,6 +614,9 @@ fn adaptive_loop(
                 analysis: "transient",
             });
         }
+        if accepted + rejected >= MAX_ADAPTIVE_STEPS {
+            return Err(SpiceError::StepBudgetExceeded { time: t });
+        }
         while breakpoints[next_bp] <= t {
             next_bp += 1;
         }
@@ -840,6 +852,28 @@ mod tests {
             "adaptive took {} steps",
             tran.accepted_steps()
         );
+    }
+
+    #[test]
+    fn adaptive_steps_stop_at_the_budget() {
+        let mut ckt = Circuit::new();
+        ckt.voltage_source("v", "in", "0", 1.0);
+        ckt.resistor("r", "in", "out", 1e3).unwrap();
+        ckt.capacitor("c", "out", "0", 1e-9).unwrap();
+        // max_step pins the grid at one step per ns, so a horizon of
+        // 1.001·MAX_ADAPTIVE_STEPS ns runs out of budget just short of
+        // its end.
+        let opts = TranOptions {
+            max_step: Some(1e-9),
+            ..TranOptions::adaptive()
+        };
+        let tstop = 1e-9 * (MAX_ADAPTIVE_STEPS + MAX_ADAPTIVE_STEPS / 1000) as f64;
+        match ckt.transient_with(1e-9, tstop, opts) {
+            Err(SpiceError::StepBudgetExceeded { time }) => {
+                assert!(time > 0.99 * tstop && time < tstop, "stopped at t = {time}");
+            }
+            other => panic!("expected StepBudgetExceeded, got {other:?}"),
+        }
     }
 
     #[test]

@@ -93,6 +93,13 @@ pub enum SpiceError {
         /// The configured minimum step, s.
         min_step: f64,
     },
+    /// Adaptive transient step control used up its step budget
+    /// ([`crate::MAX_ADAPTIVE_STEPS`], accepted plus rejected steps)
+    /// before reaching the end of the horizon.
+    StepBudgetExceeded {
+        /// Simulation time (s) reached when the budget ran out.
+        time: f64,
+    },
     /// A sweep or transient was asked for with a non-positive step, or
     /// bounds in the wrong order.
     InvalidSweep {
@@ -174,6 +181,12 @@ impl std::fmt::Display for SpiceError {
                 f,
                 "adaptive transient step collapsed at t = {time:.6e} s: step {step:.3e} s fell \
                  below the minimum {min_step:.3e} s without an accepted step"
+            ),
+            Self::StepBudgetExceeded { time } => write!(
+                f,
+                "adaptive transient used its budget of {} steps (accepted plus rejected) \
+                 at t = {time:.6e} s, before the end of the horizon",
+                crate::MAX_ADAPTIVE_STEPS
             ),
             Self::InvalidSweep { reason } => write!(f, "invalid sweep: {reason}"),
             Self::Cancelled { analysis } => {

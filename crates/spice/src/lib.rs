@@ -54,7 +54,9 @@ pub mod sparse;
 pub mod waveform;
 
 pub use analysis::ac::{AcMethod, AcResult};
-pub use analysis::{OpResult, SweepOptions, SweepResult, TranMethod, TranOptions, TranResult};
+pub use analysis::{
+    OpResult, SweepOptions, SweepResult, TranMethod, TranOptions, TranResult, MAX_ADAPTIVE_STEPS,
+};
 pub use complex::Complex;
 pub use element::{batch_lanes_match, FetCurve};
 pub use error::SpiceError;
